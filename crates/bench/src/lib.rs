@@ -5,12 +5,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use serde::Serialize;
 use ull_data::{generate, Dataset, SynthCifarConfig};
-use ull_nn::{evaluate, train_epoch, LrSchedule, Network, Sgd, SgdConfig, TrainConfig};
+use ull_nn::{
+    evaluate, train_epoch, CheckpointError, LrSchedule, Network, Sgd, SgdConfig, TrainConfig,
+};
 use ull_obs::TraceEvent;
 
 /// One line of a JSONL trace, classified for forward compatibility.
@@ -230,7 +232,7 @@ pub fn train_or_load_dnn(
     let dir = report_dir().join("models");
     std::fs::create_dir_all(&dir).expect("create model cache dir");
     let path = dir.join(format!("{}_{}_{}.json", tag, classes, scale.name()));
-    if let Ok(net) = ull_nn::load::<Network>(&path) {
+    if let Some(net) = load_cached_dnn(&path) {
         let acc = evaluate(&net, test, scale.batch());
         println!(
             "loaded cached DNN from {} (test {:.1} %)",
@@ -251,6 +253,25 @@ pub fn train_or_load_dnn(
     );
     ull_nn::save(&net, &path).expect("write model cache");
     (net, acc)
+}
+
+/// Reads a cached DNN: `None` when no file exists at `path` (the caller
+/// trains one), the network when it loads.
+///
+/// # Panics
+///
+/// Panics with the path and the error when the file exists but does not
+/// load: a stale or corrupt cache is deleted by hand, never silently
+/// retrained and overwritten.
+fn load_cached_dnn(path: &Path) -> Option<Network> {
+    match ull_nn::load::<Network>(path) {
+        Ok(net) => Some(net),
+        Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => panic!(
+            "cached DNN {} does not load ({e}); delete it to retrain",
+            path.display()
+        ),
+    }
 }
 
 /// Writes a JSON report under `reports/` (created on demand) and returns
@@ -280,6 +301,27 @@ fn report_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn model_cache_retrains_only_when_the_file_is_missing() {
+        let dir = std::env::temp_dir().join(format!("ull-model-cache-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("net.json");
+        assert!(load_cached_dnn(&path).is_none(), "missing file: train");
+
+        let net = Arch::Vgg11.build(4, 8, 0.125, 1);
+        ull_nn::save(&net, &path).unwrap();
+        assert_eq!(load_cached_dnn(&path), Some(net), "valid file: load");
+
+        std::fs::write(&path, r#"{"not": "a checkpoint"}"#).unwrap();
+        let err = std::panic::catch_unwind(|| load_cached_dnn(&path)).unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(
+            msg.contains("net.json") && msg.contains("format_version"),
+            "unloadable file must panic with path and error: {msg}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn scales_are_ordered_by_cost() {

@@ -49,6 +49,10 @@ impl AnytimeConfig {
 pub struct AnytimeOutput {
     /// Per-sample predicted class, frozen at its decision step.
     pub predictions: Vec<usize>,
+    /// Per-sample running-mean logits, `[N, classes]`, each row frozen at
+    /// that sample's decision step (the row `predictions` is the argmax
+    /// of).
+    pub logits: Tensor,
     /// Per-sample step at which the prediction was frozen (1-based;
     /// `t_max` for samples that never cleared the gate).
     pub steps_used: Vec<usize>,
@@ -67,7 +71,11 @@ impl AnytimeOutput {
     }
 }
 
-/// Per-row top-1/top-2 margin and argmax of a `[N, classes]` tensor.
+/// Per-row argmax and top-1/top-2 margin of a `[N, classes]` tensor.
+///
+/// Ties resolve to the last index with margin 0. A single-class row has
+/// no runner-up and reads margin `+inf`, so it clears every gate, even an
+/// infinite one: a one-class net commits each sample at `min_steps`.
 fn row_margins(logits: &Tensor) -> Vec<(usize, f32)> {
     let rows = logits.shape()[0];
     let classes = logits.len() / rows.max(1);
@@ -174,19 +182,26 @@ fn anytime_forward_gated(
     assert!(t_max > 0, "need at least one time step");
     let batch = x.shape()[0];
     let mut predictions = vec![0usize; batch];
+    let mut logits = Tensor::default();
     let mut steps_used = vec![t_max; batch];
     let mut decided = vec![false; batch];
     let min_steps = min_steps.max(1);
     let (_, steps_simulated) = snn.forward_until(x, t_max, |t, mean| {
         let gate = gate_at(t);
+        if t == 1 {
+            logits.copy_from(mean);
+        }
+        let classes = mean.shape()[1];
         let mut undecided = 0;
         for (r, (argmax, margin)) in row_margins(mean).into_iter().enumerate() {
             if decided[r] {
                 continue;
             }
-            // Track the running prediction so a sample that never clears
-            // the gate ends with the full-deadline answer.
+            // Track the running answer so a sample that never clears the
+            // gate ends with the full-deadline one.
             predictions[r] = argmax;
+            let row = r * classes..(r + 1) * classes;
+            logits.data_mut()[row.clone()].copy_from_slice(&mean.data()[row]);
             if t >= min_steps && margin >= gate {
                 decided[r] = true;
                 steps_used[r] = t;
@@ -203,6 +218,7 @@ fn anytime_forward_gated(
     );
     AnytimeOutput {
         predictions,
+        logits,
         steps_used,
         steps_simulated,
     }
@@ -513,6 +529,33 @@ mod tests {
         let batch = test.eval_batches(16).next().unwrap();
         let out = anytime_forward_scheduled(&snn, &batch.images, &schedule);
         assert!(out.steps_used.iter().all(|&s| s > 1));
+    }
+
+    #[test]
+    fn row_margins_handle_degenerate_rows() {
+        let rows = Tensor::from_vec(vec![1.0, 3.0, 2.0, 0.0, 0.0, 0.0], &[2, 3]).unwrap();
+        // Ties resolve to the last index, with margin 0.
+        assert_eq!(row_margins(&rows), vec![(1, 1.0), (2, 0.0)]);
+        // A single class has no runner-up: margin +inf.
+        let single = Tensor::from_vec(vec![5.0], &[1, 1]).unwrap();
+        assert_eq!(row_margins(&single), vec![(0, f32::INFINITY)]);
+    }
+
+    #[test]
+    fn frozen_logits_match_predictions_and_decision_steps() {
+        let (snn, data) = setup();
+        let batch = data.eval_batches(16).next().unwrap();
+        let out = anytime_forward(&snn, &batch.images, &AnytimeConfig::new(4, 0.05));
+        assert_eq!(out.logits.argmax_rows(), out.predictions);
+        let classes = out.logits.shape()[1];
+        for (r, &t) in out.steps_used.iter().enumerate() {
+            let at_t = snn.forward(&batch.images.slice_batch(r, r + 1), t).logits;
+            assert_eq!(
+                at_t.data(),
+                &out.logits.data()[r * classes..(r + 1) * classes],
+                "row {r} must hold its step-{t} running mean"
+            );
+        }
     }
 
     #[test]

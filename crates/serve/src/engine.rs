@@ -10,7 +10,8 @@
 //!    breaker is open, the last replica serves as a degraded last
 //!    resort — availability over quarantine);
 //! 2. run the rung (`Full` / `Reduced` are fixed-T forwards, `Anytime`
-//!    is an early-exit loop behind the calibrated margin schedule);
+//!    is `ull_robust`'s early-exit loop behind the calibrated margin
+//!    schedule);
 //! 3. for fixed-T rungs, check the per-layer spike-rate envelope
 //!    profiled for *that* T (the watchdog rejects cross-T comparisons
 //!    by design, and the `Anytime` rung is skipped because its step
@@ -40,7 +41,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use ull_robust::{AnytimeSchedule, RateEnvelope};
+use ull_robust::{anytime_forward_scheduled, AnytimeSchedule, RateEnvelope};
 use ull_snn::SnnNetwork;
 use ull_tensor::Tensor;
 
@@ -179,8 +180,10 @@ pub struct Engine {
 impl Engine {
     /// Builds an engine over an ordered replica pool.
     ///
-    /// `schedule` powers the `Anytime` rung; without one, that rung
-    /// falls back to a plain full-T forward (no early exit).
+    /// `schedule` powers the `Anytime` rung; it is truncated to
+    /// `cfg.t_full` steps, so early exit never runs past the `Full` rung.
+    /// Without one, that rung falls back to a plain full-T forward (no
+    /// early exit).
     ///
     /// # Panics
     ///
@@ -224,6 +227,10 @@ impl Engine {
             })
             .collect();
         let recorder = FlightRecorder::new(&cfg.blackbox);
+        let schedule = schedule.map(|mut s| {
+            s.margins.truncate(cfg.t_full);
+            s
+        });
         Engine {
             cfg,
             replicas: slots,
@@ -533,8 +540,16 @@ impl Engine {
                 // envelopes do not apply: the rung is served unwatched
                 // and always reports healthy. Sustained corruption is
                 // still caught by the next fixed-T batch.
-                let (logits, steps) =
-                    anytime_batch(&model.net, x, self.schedule.as_ref(), self.cfg.t_full);
+                let (logits, steps) = match &self.schedule {
+                    Some(schedule) => {
+                        let out = anytime_forward_scheduled(&model.net, x, schedule);
+                        (out.logits, out.steps_used)
+                    }
+                    None => (
+                        model.net.forward(x, self.cfg.t_full).logits,
+                        vec![self.cfg.t_full; batch],
+                    ),
+                };
                 (logits, steps, model.version, true)
             }
         }
@@ -575,84 +590,59 @@ fn lock_breaker(m: &Mutex<CircuitBreaker>) -> std::sync::MutexGuard<'_, CircuitB
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Early-exit batch forward: freeze each row's running-mean logits the
-/// first step its top-1/top-2 margin clears the schedule's gate for
-/// that step; stop simulating once every row is frozen.
-///
-/// Without a schedule this degrades to a plain `t_max` forward.
-fn anytime_batch(
-    net: &SnnNetwork,
-    x: &Tensor,
-    schedule: Option<&AnytimeSchedule>,
-    t_max: usize,
-) -> (Tensor, Vec<usize>) {
-    let Some(schedule) = schedule else {
-        let out = net.forward(x, t_max);
-        let batch = x.shape()[0];
-        return (out.logits, vec![t_max; batch]);
-    };
-    let t_max = schedule.t_max().min(t_max).max(1);
-    let batch = x.shape()[0];
-    let mut frozen_logits: Option<Tensor> = None;
-    let mut steps_used = vec![t_max; batch];
-    let mut frozen = vec![false; batch];
-    let mut remaining = batch;
-    let (_, _steps) = net.forward_until(x, t_max, |t, mean| {
-        let frozen_view = frozen_logits.get_or_insert_with(|| mean.clone());
-        let gate = schedule.margins[t - 1];
-        let classes = mean.shape()[1];
-        for r in 0..batch {
-            if frozen[r] {
-                continue;
-            }
-            let row = &mean.data()[r * classes..(r + 1) * classes];
-            let commit = if t == t_max {
-                true
-            } else if t >= schedule.min_steps {
-                top_margin(row) >= gate
-            } else {
-                false
-            };
-            if commit {
-                frozen[r] = true;
-                steps_used[r] = t;
-                frozen_view.data_mut()[r * classes..(r + 1) * classes].copy_from_slice(row);
-                remaining -= 1;
-            }
-        }
-        remaining > 0
-    });
-    let logits = frozen_logits.unwrap_or_else(|| net.forward(x, t_max).logits);
-    (logits, steps_used)
-}
-
-/// Top-1 minus top-2 of one logit row (0 for degenerate rows).
-fn top_margin(row: &[f32]) -> f32 {
-    let mut best = f32::NEG_INFINITY;
-    let mut second = f32::NEG_INFINITY;
-    for &v in row {
-        if v > best {
-            second = best;
-            best = v;
-        } else if v > second {
-            second = v;
-        }
-    }
-    if second.is_finite() {
-        best - second
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ull_nn::models;
+    use ull_snn::SpikeSpec;
+    use ull_tensor::init::{normal, seeded_rng};
+    use ull_tensor::parallel;
 
+    /// The `Anytime` rung's reply is `ull_robust`'s anytime output on the
+    /// same batch, bit for bit, under the schedule truncated to `t_full`.
     #[test]
-    fn top_margin_handles_degenerate_rows() {
-        assert_eq!(top_margin(&[1.0, 3.0, 2.0]), 1.0);
-        assert_eq!(top_margin(&[0.0, 0.0, 0.0]), 0.0);
-        assert_eq!(top_margin(&[5.0]), 0.0);
+    fn anytime_rung_replies_with_ull_robust_output() {
+        let dnn = models::vgg_micro(4, 8, 0.25, 5);
+        let specs = vec![SpikeSpec::identity(0.5); dnn.threshold_nodes().len()];
+        let net = SnnNetwork::from_network(&dnn, &specs).unwrap();
+        let x = normal(&[8, 3, 8, 8], 0.3, 1.0, &mut seeded_rng(6));
+        let cfg = ServeConfig {
+            t_full: 3,
+            t_reduced: 2,
+            ..ServeConfig::default()
+        };
+        // Longer than t_full: the engine must cut it to 3 steps.
+        let schedule = AnytimeSchedule {
+            margins: vec![0.2, 0.01, 0.05, 0.0, 0.0],
+            min_steps: 1,
+        };
+        let replica = ReplicaSpec {
+            name: "primary".into(),
+            net: net.clone(),
+            envelope_full: None,
+            envelope_reduced: None,
+        };
+        let engine = Engine::new(cfg, vec![replica], Some(schedule.clone()));
+        let truncated = AnytimeSchedule {
+            margins: schedule.margins[..3].to_vec(),
+            ..schedule
+        };
+
+        let _guard = parallel::override_lock();
+        parallel::set_threads(1);
+        let want = anytime_forward_scheduled(&net, &x, &truncated);
+        assert!(
+            want.steps_used.iter().any(|&s| s < 3) && want.steps_used.contains(&3),
+            "batch must mix early and deadline exits: {:?}",
+            want.steps_used
+        );
+        for threads in [1, 4] {
+            parallel::set_threads(threads);
+            let reply = engine.execute(&x, RungLabel::Anytime);
+            assert_eq!(reply.steps, want.steps_used, "threads {threads}");
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reply.logits), bits(&want.logits), "threads {threads}");
+        }
+        parallel::set_threads(0);
     }
 }

@@ -7,9 +7,11 @@
 //!
 //! ```text
 //! Full    — forward for t_full steps (paper-quality answer)
-//! Anytime — forward_until behind the calibrated margin schedule:
-//!           rows exit as soon as their logit margin clears the
-//!           per-step gate, bounded by t_full
+//! Anytime — ull_robust::anytime_forward_scheduled behind the
+//!           calibrated margin schedule (truncated to t_full): rows
+//!           freeze their logits as soon as their margin clears the
+//!           per-step gate; simulation stops once every row has
+//!           exited, and step t_full commits the rest
 //! Reduced — forward for t_reduced steps (cheapest deterministic rung)
 //! (shed)  — not a rung: a full admission queue rejects new requests
 //!           with a typed `Overloaded` reply before they ever queue

@@ -10,13 +10,15 @@
 //! implements both so the claim is reproducible (see the
 //! `rate_vs_direct` example and the `ablation_design` experiment).
 
+use std::ops::ControlFlow;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use ull_tensor::Tensor;
 
 use crate::network::{SnnNetwork, SnnOutput};
-use crate::stats::SpikeStats;
+use crate::packing;
 
 /// How the input image is presented to the SNN over time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,9 +73,10 @@ impl InputEncoding {
 }
 
 impl SnnNetwork {
-    /// Inference with an explicit input encoding. `Direct` matches
-    /// [`SnnNetwork::forward`] exactly; `PoissonRate` replaces the analog
-    /// input with stochastic spike trains (seeded by `rng`).
+    /// Inference with an explicit input encoding. `Direct` is
+    /// [`SnnNetwork::forward`]; `PoissonRate` replaces the analog input with
+    /// stochastic spike trains (seeded by `rng`), encoded for the whole
+    /// batch each step and simulated serially.
     ///
     /// # Panics
     ///
@@ -85,25 +88,18 @@ impl SnnNetwork {
         encoding: InputEncoding,
         rng: &mut StdRng,
     ) -> SnnOutput {
-        assert!(t_steps > 0, "need at least one time step");
-        let _span = ull_obs::span("snn.forward");
-        let batch = x.shape()[0];
-        let mut stats = SpikeStats::new(self.nodes().len(), batch, t_steps);
-        let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes().len()];
-        let mut logits: Option<Tensor> = None;
-        for _ in 0..t_steps {
-            let xt = encoding.encode_step(x, rng);
-            let acts = self.step_public(&xt, &mut membranes, &mut stats);
-            match &mut logits {
-                Some(l) => l.add_assign(&acts[self.output()]),
-                None => logits = Some(acts[self.output()].clone()),
-            }
+        if encoding == InputEncoding::Direct {
+            return self.forward(x, t_steps);
         }
-        let mut logits = logits.expect("at least one step ran");
-        logits.scale_in_place(1.0 / t_steps as f32);
-        ull_obs::counter_add("snn.forward.images", batch as u64);
-        stats.publish_to_obs();
-        SnnOutput { logits, stats }
+        let _span = ull_obs::span("snn.forward");
+        let pack = packing::packed_for(self);
+        let mut encode = |x: &Tensor| encoding.encode_step(x, rng);
+        let (out, _) = self.simulate(x, t_steps, None, pack.as_deref(), Some(&mut encode), |_| {
+            ControlFlow::Continue(())
+        });
+        ull_obs::counter_add("snn.forward.images", x.shape()[0] as u64);
+        out.stats.publish_to_obs();
+        out
     }
 }
 

@@ -3,6 +3,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::ControlFlow;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -295,6 +296,19 @@ impl StepWorkspace {
     }
 }
 
+/// What the per-step observer of [`SnnNetwork::simulate`] sees after each
+/// completed step.
+pub(crate) struct StepView<'a> {
+    /// Steps completed so far (1-based).
+    t: usize,
+    /// Every node's output at this step, indexed by node id.
+    acts: &'a [Tensor],
+    /// Spike counters accumulated over the completed steps.
+    stats: &'a SpikeStats,
+    /// Sum of the output node's activation over the completed steps.
+    out_sum: &'a Tensor,
+}
+
 /// The BPTT tape: everything [`SnnNetwork::backward`] needs, and the object
 /// whose size realises the paper's Fig. 3 memory measurements.
 #[derive(Debug)]
@@ -585,7 +599,8 @@ impl SnnNetwork {
     }
 
     /// Shared chunked-parallel body of [`SnnNetwork::forward`] and
-    /// [`SnnNetwork::forward_tampered`].
+    /// [`SnnNetwork::forward_tampered`]: one [`SnnNetwork::simulate`] run
+    /// per batch chunk.
     fn forward_dispatch(
         &self,
         x: &Tensor,
@@ -599,20 +614,20 @@ impl SnnNetwork {
         // and share the pack across every batch chunk and time step.
         let pack = packing::packed_for(self);
         let pack = pack.as_deref();
+        let run = |x: &Tensor, offset: usize| {
+            let tamper = tamper.map(|h| (h, offset));
+            let every_step = |_: &StepView<'_>| ControlFlow::Continue(());
+            self.simulate(x, t_steps, tamper, pack, None, every_step).0
+        };
         if threads <= 1 || batch < 2 {
-            self.forward_chunk(x, t_steps, tamper.map(|t| (t, 0)), pack)
+            run(x, 0)
         } else {
             let chunk = batch.div_ceil(threads);
             let n_chunks = batch.div_ceil(chunk);
             let parts = parallel::par_map(n_chunks, |ci| {
                 let lo = ci * chunk;
                 let hi = ((ci + 1) * chunk).min(batch);
-                self.forward_chunk(
-                    &x.slice_batch(lo, hi),
-                    t_steps,
-                    tamper.map(|t| (t, lo)),
-                    pack,
-                )
+                run(&x.slice_batch(lo, hi), lo)
             });
             // Merge in chunk (= batch) order: logit rows concatenate back
             // into batch order and the integer spike counters sum exactly.
@@ -629,57 +644,74 @@ impl SnnNetwork {
         }
     }
 
-    /// Serial simulation of one contiguous batch chunk — the single-thread
-    /// body [`SnnNetwork::forward`] distributes over the pool. `tamper`
-    /// carries the fault hook plus this chunk's global batch offset.
+    /// The inference loop every eval entry point wraps: runs up to `t_max`
+    /// [`SnnNetwork::step_ws`] steps serially over one reusable
+    /// [`StepWorkspace`] and hands each completed step to `observe`, which
+    /// stops the run early by returning [`ControlFlow::Break`]. Returns the
+    /// output activation averaged over the steps run (the logits) with the
+    /// spike statistics, plus that step count.
     ///
-    /// Runs the event-driven engine: a reusable [`StepWorkspace`] makes
-    /// the steady-state step loop allocation-free, and each weighted node
-    /// routes between the dense and event-driven kernels per
-    /// [`crate::dispatch`]. Results are bit-identical to the tape-capable
-    /// [`SnnNetwork::step`] path for any routing.
-    fn forward_chunk(
+    /// `tamper` is the fault hook plus this batch's global sample offset;
+    /// `pack` the network's packed weights (`None` runs the unpacked
+    /// kernels); `encode`, when set, replaces the direct input with a fresh
+    /// tensor each step (Poisson rate coding).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t_max == 0`.
+    pub(crate) fn simulate(
         &self,
         x: &Tensor,
-        t_steps: usize,
+        t_max: usize,
         tamper: Option<(&dyn StepTamper, usize)>,
         pack: Option<&PackedNet>,
-    ) -> SnnOutput {
-        let batch = x.shape()[0];
-        let mut stats = SpikeStats::new(self.nodes.len(), batch, t_steps);
+        mut encode: Option<&mut dyn FnMut(&Tensor) -> Tensor>,
+        mut observe: impl FnMut(&StepView<'_>) -> ControlFlow<()>,
+    ) -> (SnnOutput, usize) {
+        assert!(t_max > 0, "need at least one time step");
+        let mut stats = SpikeStats::new(self.nodes.len(), x.shape()[0], t_max);
         let mut ws = StepWorkspace::new(self.nodes.len());
-        let mut logits: Option<Tensor> = None;
-        for t in 0..t_steps {
-            self.step_ws(
-                x,
-                &mut ws,
-                &mut stats,
-                tamper.map(|(h, off)| (h, t, off)),
-                pack,
-            );
-            let out_act = &ws.acts[self.output];
-            match &mut logits {
-                Some(l) => l.add_assign(out_act),
-                None => logits = Some(out_act.clone()),
+        let mut out_sum: Option<Tensor> = None;
+        let mut steps = 0;
+        for t in 0..t_max {
+            let encoded = encode.as_mut().map(|f| f(x));
+            let x = encoded.as_ref().unwrap_or(x);
+            let tamper = tamper.map(|(h, off)| (h, t, off));
+            self.step_ws(x, &mut ws, &mut stats, tamper, pack);
+            let out = &ws.acts[self.output];
+            match &mut out_sum {
+                Some(s) => s.add_assign(out),
+                None => out_sum = Some(out.clone()),
+            }
+            steps = t + 1;
+            let view = StepView {
+                t: steps,
+                acts: &ws.acts,
+                stats: &stats,
+                out_sum: out_sum.as_ref().expect("just accumulated"),
+            };
+            if observe(&view).is_break() {
+                break;
             }
         }
-        let mut logits = logits.expect("at least one step ran");
-        logits.scale_in_place(1.0 / t_steps as f32);
-        SnnOutput { logits, stats }
+        let mut logits = out_sum.expect("at least one step ran");
+        logits.scale_in_place(1.0 / steps as f32);
+        (SnnOutput { logits, stats }, steps)
     }
 
-    /// One eval time step over the reusable workspace — the engine behind
-    /// [`SnnNetwork::forward`] / [`SnnNetwork::forward_tampered`].
+    /// One eval time step over the reusable workspace — the only inference
+    /// stepper, driven by [`SnnNetwork::simulate`].
     ///
-    /// Semantically identical to [`SnnNetwork::step`] with `masks == None`
-    /// and `aux_out == None`, and bit-identical in output; it differs only
-    /// operationally: every buffer is refilled in place (zero steady-state
-    /// allocations), and each conv/linear node consults its
-    /// [`RouteState`] to run either the dense im2col+GEMM kernel or the
-    /// event-driven kernel on a [`SpikeBatch`] extracted from its input.
-    /// Dispatch decisions are published as `snn.dispatch.{sparse,dense}`
-    /// obs counters (not `SpikeStats`: per-chunk decisions may differ
-    /// across thread counts while results stay bit-identical).
+    /// Applies the same per-element expressions as the training tape's
+    /// [`SnnNetwork::step`] (without dropout masks), so the two agree bit
+    /// for bit; it differs only operationally: every buffer is refilled in
+    /// place (zero steady-state allocations), and each conv/linear node
+    /// consults its [`RouteState`] to run either the dense im2col+GEMM
+    /// kernel or the event-driven kernel on a [`SpikeBatch`] extracted from
+    /// its input. Dispatch decisions are published as
+    /// `snn.dispatch.{sparse,dense}` obs counters (not `SpikeStats`:
+    /// per-chunk decisions may differ across thread counts while results
+    /// stay bit-identical).
     fn step_ws(
         &self,
         x: &Tensor,
@@ -831,6 +863,15 @@ impl SnnNetwork {
     /// over the steps actually run are returned together with that step
     /// count.
     ///
+    /// Runs the same workspace stepper as [`SnnNetwork::forward`] (packed
+    /// weights, per-layer sparse dispatch), so a run of all `t_max` steps
+    /// is bit-identical to `forward(x, t_max)` for any `ULL_THREADS`. The
+    /// running mean lives in one reused buffer: with a non-allocating
+    /// callback, steps after the first allocate nothing. Like the other
+    /// probes it publishes no `SpikeStats` and no `snn.forward.images`;
+    /// the stepper's `snn.dispatch.*` and `snn.pack.*` counters are
+    /// recorded as on every eval path.
+    ///
     /// Serial by design: stopping is a whole-batch decision and the
     /// callback observes logits in batch order. Per-sample early decisions
     /// are layered on top by `ull-robust`, which freezes decided rows
@@ -845,73 +886,60 @@ impl SnnNetwork {
         t_max: usize,
         mut keep_going: impl FnMut(usize, &Tensor) -> bool,
     ) -> (SnnOutput, usize) {
-        assert!(t_max > 0, "need at least one time step");
-        let batch = x.shape()[0];
-        let mut stats = SpikeStats::new(self.nodes.len(), batch, t_max);
-        let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let mut sum: Option<Tensor> = None;
-        let mut steps = 0;
-        for t in 1..=t_max {
-            let acts = self.step(x, &mut membranes, None, None, &mut stats, None);
-            match &mut sum {
-                Some(l) => l.add_assign(&acts[self.output]),
-                None => sum = Some(acts[self.output].clone()),
+        let pack = packing::packed_for(self);
+        let mut mean = Tensor::default();
+        self.simulate(x, t_max, None, pack.as_deref(), None, |v| {
+            mean.copy_from(v.out_sum);
+            mean.scale_in_place(1.0 / v.t as f32);
+            if keep_going(v.t, &mean) {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
             }
-            steps = t;
-            let mut mean = sum.as_ref().expect("just set").clone();
-            mean.scale_in_place(1.0 / t as f32);
-            if !keep_going(t, &mean) {
-                break;
-            }
-        }
-        let mut logits = sum.expect("at least one step ran");
-        logits.scale_in_place(1.0 / steps as f32);
-        (SnnOutput { logits, stats }, steps)
+        })
     }
 
     /// Like [`SnnNetwork::forward`] but also returns, for each spike node,
     /// the per-neuron *average input current* and *average output value*
     /// across time steps — the empirical `f_S(s)` and `s'` of the paper's
     /// error analysis (Eq. 6).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t_steps == 0`.
     pub fn forward_rates(
         &self,
         x: &Tensor,
         t_steps: usize,
     ) -> (SnnOutput, Vec<(NodeId, Tensor, Tensor)>) {
-        assert!(t_steps > 0, "need at least one time step");
-        let batch = x.shape()[0];
-        let mut stats = SpikeStats::new(self.nodes.len(), batch, t_steps);
-        let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let mut logits: Option<Tensor> = None;
         let spike_ids = self.spike_nodes();
-        let mut current_sums: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let mut output_sums: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for _ in 0..t_steps {
-            let acts = self.step(x, &mut membranes, None, None, &mut stats, None);
-            for &id in &spike_ids {
-                let input_act = &acts_input(self, &acts, id);
-                accumulate_opt(&mut current_sums[id], input_act);
-                accumulate_opt(&mut output_sums[id], &acts[id]);
+        // Per spike node: (summed input current, summed output).
+        let mut sums: Vec<(Tensor, Tensor)> = Vec::with_capacity(spike_ids.len());
+        let pack = packing::packed_for(self);
+        let (out, _) = self.simulate(x, t_steps, None, pack.as_deref(), None, |v| {
+            for (k, &id) in spike_ids.iter().enumerate() {
+                let current = &v.acts[self.nodes[id].inputs[0]];
+                match sums.get_mut(k) {
+                    Some((cur, spk)) => {
+                        cur.add_assign(current);
+                        spk.add_assign(&v.acts[id]);
+                    }
+                    None => sums.push((current.clone(), v.acts[id].clone())),
+                }
             }
-            match &mut logits {
-                Some(l) => l.add_assign(&acts[self.output]),
-                None => logits = Some(acts[self.output].clone()),
-            }
-        }
-        let mut logits = logits.expect("at least one step ran");
-        logits.scale_in_place(1.0 / t_steps as f32);
+            ControlFlow::Continue(())
+        });
         let inv = 1.0 / t_steps as f32;
         let rates = spike_ids
             .into_iter()
-            .map(|id| {
-                let mut cur = current_sums[id].take().expect("recorded above");
+            .zip(sums)
+            .map(|(id, (mut cur, mut spk))| {
                 cur.scale_in_place(inv);
-                let mut out = output_sums[id].take().expect("recorded above");
-                out.scale_in_place(inv);
-                (id, cur, out)
+                spk.scale_in_place(inv);
+                (id, cur, spk)
             })
             .collect();
-        (SnnOutput { logits, stats }, rates)
+        (out, rates)
     }
 
     /// Training-mode unrolled forward pass: records the full BPTT tape.
@@ -920,24 +948,25 @@ impl SnnNetwork {
         assert!(t_steps > 0, "need at least one time step");
         let _span = ull_obs::span("snn.forward_train");
         let batch = x.shape()[0];
-        // Pre-sample dropout masks (shapes discovered via a dry step).
-        let mut stats = SpikeStats::new(self.nodes.len(), batch, t_steps);
-        let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let probe = self.step(x, &mut membranes, None, None, &mut stats, None);
+        // Pre-sample dropout masks, shaped like each dropout node's output
+        // in one throwaway workspace step (its stats are never published).
         let mut masks: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let SnnOp::Dropout { p } = node.op {
-                if p > 0.0 {
-                    let keep = 1.0 - p;
-                    let scale = 1.0 / keep;
-                    let mut mask = Tensor::zeros(probe[i].shape());
-                    for m in mask.data_mut() {
-                        *m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
+        self.simulate(x, 1, None, None, None, |v| {
+            for (i, node) in self.nodes.iter().enumerate() {
+                if let SnnOp::Dropout { p } = node.op {
+                    if p > 0.0 {
+                        let keep = 1.0 - p;
+                        let scale = 1.0 / keep;
+                        let mut mask = Tensor::zeros(v.acts[i].shape());
+                        for m in mask.data_mut() {
+                            *m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
+                        }
+                        masks[i] = Some(mask);
                     }
-                    masks[i] = Some(mask);
                 }
             }
-        }
+            ControlFlow::Break(())
+        });
         // Real unrolled pass with fresh state.
         let mut stats = SpikeStats::new(self.nodes.len(), batch, t_steps);
         let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
@@ -946,14 +975,7 @@ impl SnnNetwork {
         let mut logits: Option<Tensor> = None;
         for _ in 0..t_steps {
             let mut aux: Vec<StepAux> = Vec::with_capacity(self.nodes.len());
-            let acts = self.step(
-                x,
-                &mut membranes,
-                Some(&masks),
-                Some(&mut aux),
-                &mut stats,
-                None,
-            );
+            let acts = self.step(x, &mut membranes, &masks, &mut aux, &mut stats);
             match &mut logits {
                 Some(l) => l.add_assign(&acts[self.output]),
                 None => logits = Some(acts[self.output].clone()),
@@ -963,8 +985,6 @@ impl SnnNetwork {
         }
         let mut logits = logits.expect("at least one step ran");
         logits.scale_in_place(1.0 / t_steps as f32);
-        // Publish only the real unrolled pass — the dropout-shape probe
-        // step above used throwaway stats and must not be counted.
         ull_obs::counter_add("snn.forward.images", batch as u64);
         stats.publish_to_obs();
         SnnTape {
@@ -984,49 +1004,29 @@ impl SnnNetwork {
     ///
     /// Panics if `t_steps == 0`.
     pub fn forward_trace(&self, x: &Tensor, t_steps: usize) -> Vec<Vec<u64>> {
-        assert!(t_steps > 0, "need at least one time step");
-        let batch = x.shape()[0];
-        let mut stats = SpikeStats::new(self.nodes.len(), batch, t_steps);
-        let mut membranes: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         let mut trace = Vec::with_capacity(t_steps);
         let mut prev = vec![0u64; self.nodes.len()];
-        for _ in 0..t_steps {
-            let _ = self.step(x, &mut membranes, None, None, &mut stats, None);
-            let now = stats.spikes_per_node();
-            trace.push(
-                now.iter()
-                    .zip(&prev)
-                    .map(|(&a, &b)| a - b)
-                    .collect::<Vec<u64>>(),
-            );
-            prev = now.to_vec();
-        }
+        let pack = packing::packed_for(self);
+        self.simulate(x, t_steps, None, pack.as_deref(), None, |v| {
+            let now = v.stats.spikes_per_node();
+            trace.push(now.iter().zip(&prev).map(|(&a, &b)| a - b).collect());
+            prev.copy_from_slice(now);
+            ControlFlow::Continue(())
+        });
         trace
     }
 
-    /// Crate-internal single-step entry point for alternative input
-    /// encodings (see [`crate::encoding`]).
-    pub(crate) fn step_public(
-        &self,
-        x: &Tensor,
-        membranes: &mut [Option<Tensor>],
-        stats: &mut SpikeStats,
-    ) -> Vec<Tensor> {
-        self.step(x, membranes, None, None, stats, None)
-    }
-
-    /// One simulated time step. `aux_out`, when provided, records the BPTT
-    /// auxiliaries; `masks` supplies shared dropout masks (None ⇒ eval);
-    /// `tamper` is the fault-injection hook plus the current step index and
-    /// the chunk's global batch offset (None ⇒ clean simulation).
+    /// One recorded training time step — the tape counterpart of
+    /// [`SnnNetwork::step_ws`], used only by [`SnnNetwork::forward_train`].
+    /// Records the BPTT auxiliaries into `aux_out` and applies the shared
+    /// dropout `masks`.
     fn step(
         &self,
         x: &Tensor,
         membranes: &mut [Option<Tensor>],
-        masks: Option<&[Option<Tensor>]>,
-        mut aux_out: Option<&mut Vec<StepAux>>,
+        masks: &[Option<Tensor>],
+        aux_out: &mut Vec<StepAux>,
         stats: &mut SpikeStats,
-        tamper: Option<(&dyn StepTamper, usize, usize)>,
     ) -> Vec<Tensor> {
         let mut acts: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
         for (i, node) in self.nodes.iter().enumerate() {
@@ -1061,72 +1061,41 @@ impl SnnNetwork {
                     };
                     let mut out = Tensor::zeros(input.shape());
                     let mut spike_count = 0u64;
-                    if aux_out.is_some() {
-                        // The BPTT tape needs both U(t−1) and the
-                        // pre-reset U_temp, so this branch pays for the
-                        // copies.
-                        // Eq. 2: U_temp = λ·U(t−1) + I(t)
-                        let mut u_temp = u_prev.scale(leak);
-                        u_temp.add_assign(input);
-                        // Hardening: corrupted weights can push membranes
-                        // to NaN/±∞, which would propagate silently. Only
-                        // non-finite or absurd values are rewritten, so
-                        // clean runs stay bit-identical.
-                        sanitize_membrane(&mut u_temp);
-                        // Eq. 3/8: spike and scaled output.
-                        let mut u_next = u_temp.clone();
-                        {
-                            let od = out.data_mut();
-                            let un = u_next.data_mut();
-                            for (j, &u) in u_temp.data().iter().enumerate() {
-                                if u > v_th {
-                                    od[j] = amp;
-                                    un[j] = u - v_th; // Eq. 4 soft reset by V^th
-                                    spike_count += 1;
-                                }
+                    // The BPTT tape needs both U(t−1) and the pre-reset
+                    // U_temp, so this step pays for the copies.
+                    // Eq. 2: U_temp = λ·U(t−1) + I(t)
+                    let mut u_temp = u_prev.scale(leak);
+                    u_temp.add_assign(input);
+                    // Hardening: corrupted weights can push membranes to
+                    // NaN/±∞, which would propagate silently. Only
+                    // non-finite or absurd values are rewritten, so clean
+                    // runs stay bit-identical.
+                    sanitize_membrane(&mut u_temp);
+                    // Eq. 3/8: spike and scaled output.
+                    let mut u_next = u_temp.clone();
+                    {
+                        let od = out.data_mut();
+                        let un = u_next.data_mut();
+                        for (j, &u) in u_temp.data().iter().enumerate() {
+                            if u > v_th {
+                                od[j] = amp;
+                                un[j] = u - v_th; // Eq. 4 soft reset by V^th
+                                spike_count += 1;
                             }
                         }
-                        membranes[i] = Some(u_next);
-                        aux = StepAux::Spike { u_temp, u_prev };
-                    } else {
-                        // Eval never reads the tape: apply Eq. 2–4 to the
-                        // membrane in place, skipping both clones. Same
-                        // per-element expressions, so bit-identical.
-                        let mut u = u_prev;
-                        u.scale_in_place(leak);
-                        u.add_assign(input);
-                        sanitize_membrane(&mut u);
-                        {
-                            let od = out.data_mut();
-                            for (o, uv) in od.iter_mut().zip(u.data_mut()) {
-                                if *uv > v_th {
-                                    *o = amp;
-                                    *uv -= v_th; // Eq. 4 soft reset by V^th
-                                    spike_count += 1;
-                                }
-                            }
-                        }
-                        membranes[i] = Some(u);
                     }
-                    if let Some((hook, t, batch_offset)) = tamper {
-                        hook.tamper_spikes(t, i, batch_offset, amp, &mut out);
-                        // Recount so SpikeStats reflects the spikes that
-                        // were actually transmitted — this is how the
-                        // watchdog sees the fault.
-                        spike_count = out.data().iter().filter(|v| **v != 0.0).count() as u64;
-                    }
+                    membranes[i] = Some(u_next);
+                    aux = StepAux::Spike { u_temp, u_prev };
                     stats.record(i, spike_count, input.len());
                     out
                 }
                 SnnOp::MaxPool2d { k } => {
                     let p = maxpool2d(a(0), *k);
-                    if aux_out.is_some() {
-                        aux = StepAux::MaxPool { argmax: p.argmax };
-                    }
+                    aux = StepAux::MaxPool { argmax: p.argmax };
                     p.output
                 }
                 SnnOp::AvgPool2d { k } => avgpool2d(a(0), *k),
-                SnnOp::Dropout { .. } => match masks.and_then(|m| m[i].as_ref()) {
+                SnnOp::Dropout { .. } => match &masks[i] {
                     Some(mask) => a(0).mul(mask),
                     None => a(0).clone(),
                 },
@@ -1138,9 +1107,7 @@ impl SnnNetwork {
                 }
                 SnnOp::Add => a(0).add(a(1)),
             };
-            if let Some(ref mut v) = aux_out {
-                v.push(aux);
-            }
+            aux_out.push(aux);
             acts.push(value);
         }
         acts
@@ -1269,17 +1236,6 @@ fn record_dispatch(node: usize, sparse: bool) {
         "snn.dispatch.dense.node"
     };
     ull_obs::counter_add_indexed(key, node, 1);
-}
-
-fn acts_input(net: &SnnNetwork, acts: &[Tensor], id: NodeId) -> Tensor {
-    acts[net.nodes[id].inputs[0]].clone()
-}
-
-fn accumulate_opt(slot: &mut Option<Tensor>, value: &Tensor) {
-    match slot {
-        Some(acc) => acc.add_assign(value),
-        None => *slot = Some(value.clone()),
-    }
 }
 
 #[cfg(test)]
@@ -1770,6 +1726,61 @@ mod tests {
         assert_eq!(steps, 4);
         assert_eq!(out.logits, full.logits);
         assert_eq!(out.stats.spikes_per_node(), full.stats.spikes_per_node());
+    }
+
+    /// The training tape stays the reference for the eval stepper: with
+    /// no dropout, `forward_train` logits equal `forward` logits bit for
+    /// bit on chain and residual nets, at any `ULL_THREADS`.
+    #[test]
+    fn tape_logits_match_forward_bit_for_bit() {
+        let _guard = parallel::override_lock();
+        // Leaky, pre-charged, amplitude-scaled neurons, so leak, initial
+        // charge and output scale all reach the logits.
+        let spec = SpikeSpec {
+            v_th: 0.6,
+            amp: 1.3,
+            leak: 0.9,
+            u_init: 0.2,
+        };
+        let resnet = models::resnet_micro(4, 8, 0.5, 90);
+        let specs = vec![spec; resnet.threshold_nodes().len()];
+        let cases = [
+            (
+                "chain",
+                SnnNetwork::from_network(&tiny_dnn(89), &[spec]).unwrap(),
+                normal(&[5, 2, 4, 4], 0.3, 1.0, &mut seeded_rng(91)),
+            ),
+            (
+                "residual",
+                SnnNetwork::from_network(&resnet, &specs).unwrap(),
+                normal(&[5, 3, 8, 8], 0.3, 1.0, &mut seeded_rng(92)),
+            ),
+        ];
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (name, snn, x) in &cases {
+            for t in 1..=3 {
+                for threads in [1, 4] {
+                    parallel::set_threads(threads);
+                    let tape = snn.forward_train(x, t, &mut seeded_rng(0)).logits;
+                    let eval = snn.forward(x, t);
+                    assert_eq!(
+                        bits(&tape),
+                        bits(&eval.logits),
+                        "{name} T={t} threads={threads}"
+                    );
+                }
+            }
+            assert!(
+                snn.forward(x, 3)
+                    .stats
+                    .spikes_per_node()
+                    .iter()
+                    .sum::<u64>()
+                    > 0,
+                "{name}: needs spiking activity"
+            );
+        }
+        parallel::set_threads(0);
     }
 
     #[test]

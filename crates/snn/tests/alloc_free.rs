@@ -1,4 +1,5 @@
-//! Proves the steady-state step loop of the event-driven forward pass is
+//! Proves the steady-state step loop of the event-driven forward pass
+//! (and of `forward_until`, which runs the same stepper) is
 //! allocation-free: once the `StepWorkspace` buffers have grown to their
 //! working sizes (and every layer's dispatch route has been exercised),
 //! additional time steps must not touch the allocator.
@@ -9,12 +10,16 @@
 //! performs beyond the short run would have to come from the extra steady
 //! steps — the assertion is that there are none.
 //!
+//! Hits are counted per thread: the measured runs execute inline on the
+//! test's own thread (`ULL_THREADS=1`), while the test harness and other
+//! tests' set-up allocate concurrently on theirs.
+//!
 //! This lives in an integration test because the library crates
 //! `forbid(unsafe_code)` and a counting `#[global_allocator]` needs an
 //! `unsafe impl`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ull_nn::NetworkBuilder;
 use ull_snn::packing::clear_pack_cache;
@@ -22,24 +27,33 @@ use ull_snn::{dispatch, set_sparse_cutoff, SnnNetwork, SnnOp, SpikeSpec, StepTam
 use ull_tensor::init::{normal, seeded_rng};
 use ull_tensor::{parallel, set_packed, Tensor};
 
-static ALLOC_HITS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOC_HITS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_hit() {
+    // `try_with`: never panic inside the allocator, even during thread
+    // teardown.
+    let _ = ALLOC_HITS.try_with(|h| h.set(h.get() + 1));
+}
 
 struct CountingAlloc;
 
-// SAFETY: defers entirely to `System`; the counter is a relaxed atomic.
+// SAFETY: defers entirely to `System`; the counter is a const-initialised
+// thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_HITS.fetch_add(1, Ordering::Relaxed);
+        count_hit();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_HITS.fetch_add(1, Ordering::Relaxed);
+        count_hit();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_HITS.fetch_add(1, Ordering::Relaxed);
+        count_hit();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -64,10 +78,11 @@ fn test_net(seed: u64) -> SnnNetwork {
     SnnNetwork::from_network(&dnn, &[SpikeSpec::identity(0.7), SpikeSpec::identity(0.9)]).unwrap()
 }
 
+/// Allocator hits made by the calling thread while `f` runs.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOC_HITS.load(Ordering::Relaxed);
+    let before = ALLOC_HITS.with(Cell::get);
     f();
-    ALLOC_HITS.load(Ordering::Relaxed) - before
+    ALLOC_HITS.with(Cell::get) - before
 }
 
 #[test]
@@ -101,6 +116,42 @@ fn steady_state_step_loop_does_not_allocate() {
             long <= short,
             "steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long} (cutoff {cutoff})"
         );
+    }
+
+    set_sparse_cutoff(None);
+    parallel::set_threads(0);
+}
+
+/// `forward_until` runs the same workspace stepper and reuses one
+/// running-mean buffer: with a callback that allocates nothing, steps
+/// after the first allocate nothing either.
+#[test]
+fn forward_until_steady_state_does_not_allocate() {
+    let snn = test_net(31);
+    let x = normal(&[3, 2, 8, 8], 0.0, 1.0, &mut seeded_rng(32));
+    let _threads = parallel::override_lock();
+    let _cutoff = dispatch::cutoff_lock();
+    parallel::set_threads(1);
+
+    for cutoff in [2.0f32, -1.0] {
+        set_sparse_cutoff(Some(cutoff));
+        snn.forward_until(&x, 1, |_, _| true);
+        let mut checksum = 0.0f32;
+        let mut run = |t_max: usize| {
+            allocs_during(|| {
+                snn.forward_until(&x, t_max, |_, mean| {
+                    checksum += mean.data()[0];
+                    true
+                });
+            })
+        };
+        let short = run(2);
+        let long = run(8);
+        assert!(
+            long <= short,
+            "forward_until steady-state steps allocated: T=2 cost {short} hits, T=8 cost {long} (cutoff {cutoff})"
+        );
+        assert!(checksum.is_finite());
     }
 
     set_sparse_cutoff(None);

@@ -10,6 +10,7 @@ cd "$(dirname "$0")/.."
 echo "== fault determinism across thread counts =="
 ULL_THREADS=1 cargo test -p ull-robust -q
 ULL_THREADS=4 cargo test -p ull-robust --test determinism -q
+ULL_THREADS=4 cargo test -p ull-robust --test forward_until -q
 
 echo "== resilience acceptance gate (tiny scale) =="
 cargo build --release -p ull-bench --bin resilience_sweep
