@@ -8,10 +8,12 @@
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use ull_data::Dataset;
-use ull_nn::{evaluate, train_epoch, LrSchedule, Network, Sgd, SgdConfig, TrainConfig};
-use ull_snn::{evaluate_snn, train_snn_epoch, SnnNetwork, SnnSgd, SnnTrainConfig};
+use ull_nn::{Network, SgdConfig};
+use ull_snn::SnnNetwork;
 
-use crate::convert::{convert, ConversionMethod, ConvertError};
+use crate::convert::ConversionMethod;
+use crate::faults::FaultPlan;
+use crate::recovery::{drive, PipelineError, RunState};
 use crate::LayerScaling;
 
 /// Configuration of one end-to-end pipeline run.
@@ -82,8 +84,9 @@ pub struct PipelineReport {
     pub snn_seconds: f64,
     /// Time steps used.
     pub time_steps: usize,
-    /// Recovery actions taken during the run (rollbacks, retries) — empty
-    /// for the plain [`run_pipeline`] and for healthy recoverable runs.
+    /// Recovery actions taken during the run (rollbacks, retries) — always
+    /// empty for [`run_pipeline`], which never rolls back, and for healthy
+    /// recoverable runs.
     /// Defaults to empty when reading reports written by older versions.
     #[serde(default)]
     pub recovery_events: Vec<String>,
@@ -98,92 +101,40 @@ pub struct PipelineReport {
 /// Table-I accuracies. The trained networks are returned for further
 /// analysis (energy audits, spike statistics).
 ///
+/// This is the recoverable runner's phase loop with checkpointing off: on
+/// the healthy path it is bit-identical to
+/// [`run_pipeline_recoverable`](crate::run_pipeline_recoverable) with the
+/// same seed, and the first numeric failure ends the run.
+///
 /// # Errors
 ///
-/// Propagates [`ConvertError`] from the conversion stage.
+/// [`PipelineError::Convert`] from the conversion stage and
+/// [`PipelineError::Train`] with the first non-finite loss or gradient.
 pub fn run_pipeline(
     dnn: &mut Network,
     train_data: &Dataset,
     test_data: &Dataset,
     cfg: &PipelineConfig,
     rng: &mut StdRng,
-) -> Result<(PipelineReport, SnnNetwork), ConvertError> {
-    // Phase (a): DNN training with the paper's step-decay schedule.
-    let phase_span = ull_obs::span("pipeline.train_dnn");
-    let dnn_start = std::time::Instant::now();
-    // Warmup + gradient clipping stabilise batch-norm-free deep nets.
-    let sgd = Sgd::new(cfg.dnn_sgd).with_clip(5.0);
-    let tcfg = TrainConfig {
-        batch_size: cfg.batch_size,
-        augment_pad: cfg.augment_pad,
-        augment_flip: cfg.augment_flip,
-    };
-    let schedule = LrSchedule::paper(cfg.dnn_epochs).with_warmup(cfg.dnn_epochs / 10);
-    for e in 0..cfg.dnn_epochs {
-        train_epoch(dnn, train_data, &sgd, schedule.factor(e), &tcfg, rng);
-    }
-    let dnn_seconds = dnn_start.elapsed().as_secs_f64();
-    let dnn_accuracy = evaluate(dnn, test_data, cfg.batch_size);
-    drop(phase_span);
-
-    // Phase (b): conversion.
-    let phase_span = ull_obs::span("pipeline.convert");
-    let (mut snn, scalings) = convert(dnn, train_data, cfg.method, cfg.time_steps)?;
-    let (converted_accuracy, _) = evaluate_snn(&snn, test_data, cfg.time_steps, cfg.batch_size);
-    drop(phase_span);
-
-    // Phase (c): SGL fine-tuning of weights, thresholds and leaks.
-    let phase_span = ull_obs::span("pipeline.finetune_snn");
-    let snn_start = std::time::Instant::now();
-    let snn_sgd = SnnSgd::new(cfg.snn_sgd).with_clip(5.0);
-    let stcfg = SnnTrainConfig {
-        batch_size: cfg.batch_size,
-        time_steps: cfg.time_steps,
-        augment_pad: cfg.augment_pad,
-        augment_flip: cfg.augment_flip,
-    };
-    let snn_schedule = LrSchedule::paper(cfg.snn_epochs);
-    let mut best_acc = converted_accuracy;
-    let mut best_snn = snn.clone();
-    for e in 0..cfg.snn_epochs {
-        train_snn_epoch(
-            &mut snn,
-            train_data,
-            &snn_sgd,
-            snn_schedule.factor(e),
-            &stcfg,
-            rng,
-        );
-        let (acc, _) = evaluate_snn(&snn, test_data, cfg.time_steps, cfg.batch_size);
-        if acc > best_acc {
-            best_acc = acc;
-            best_snn = snn.clone();
-        }
-    }
-    let snn_seconds = snn_start.elapsed().as_secs_f64();
-    drop(phase_span);
-
-    Ok((
-        PipelineReport {
-            dnn_accuracy,
-            converted_accuracy,
-            snn_accuracy: best_acc,
-            scalings,
-            dnn_seconds,
-            snn_seconds,
-            time_steps: cfg.time_steps,
-            recovery_events: Vec::new(),
-            metrics: ull_obs::enabled().then(ull_obs::snapshot),
-        },
-        best_snn,
-    ))
+) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
+    let state = RunState::fresh(dnn);
+    drive(
+        dnn,
+        train_data,
+        test_data,
+        cfg,
+        None,
+        rng,
+        &mut FaultPlan::none(),
+        state,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ull_data::{generate, SynthCifarConfig};
-    use ull_nn::models;
+    use ull_nn::{models, TrainError};
     use ull_tensor::init::seeded_rng;
 
     #[test]
@@ -216,5 +167,29 @@ mod tests {
         );
         assert_eq!(snn.spike_nodes().len(), report.scalings.len());
         assert!(report.dnn_seconds > 0.0 && report.snn_seconds > 0.0);
+    }
+
+    #[test]
+    fn nan_weights_end_the_run_with_the_first_train_error() {
+        let cfg = SynthCifarConfig::tiny(4);
+        let (train, test) = generate(&cfg);
+        let mut dnn = models::vgg_micro(4, cfg.image_size, 0.5, 11);
+        // Poison the weight tensors, not the scalar thresholds μ (whose NaN
+        // would panic `clip` before the loss is computed).
+        dnn.visit_params_mut(|p| {
+            if p.len() > 1 {
+                p.value.data_mut()[0] = f32::NAN;
+            }
+        });
+        let mut rng = seeded_rng(12);
+        let err =
+            run_pipeline(&mut dnn, &train, &test, &PipelineConfig::small(2), &mut rng).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PipelineError::Train(TrainError::NonFiniteLoss { batch: 0, .. })
+            ),
+            "{err:?}"
+        );
     }
 }

@@ -11,7 +11,7 @@
 //! one that was never interrupted.
 //!
 //! Numeric failures (NaN/Inf loss or gradients, loss explosions) are
-//! detected by the checked training loops *before* they can poison the
+//! detected by the `_with_hook` epoch loops *before* they can poison the
 //! parameters; the runner rolls back to the last good checkpoint, halves
 //! the learning rate, and retries — up to
 //! [`RecoveryConfig::max_retries`] times, after which it surfaces
@@ -29,14 +29,10 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use ull_data::Dataset;
 use ull_nn::{
-    evaluate, load_latest, save_with_meta, train_epoch_checked, train_epoch_with_hook,
-    CheckpointError, CheckpointMeta, LrSchedule, Network, Sgd, TrainConfig, TrainError,
-    CHECKPOINT_EXT,
+    evaluate, load_latest, save_with_meta, train_epoch_with_hook, CheckpointError, CheckpointMeta,
+    LrSchedule, Network, Sgd, TrainConfig, TrainError, CHECKPOINT_EXT,
 };
-use ull_snn::{
-    evaluate_snn, train_snn_epoch_checked, train_snn_epoch_with_hook, SnnNetwork, SnnSgd,
-    SnnTrainConfig,
-};
+use ull_snn::{evaluate_snn, train_snn_epoch_with_hook, SnnNetwork, SnnSgd, SnnTrainConfig};
 
 use crate::convert::{convert, ConvertError};
 use crate::faults::FaultPlan;
@@ -128,7 +124,7 @@ impl RecoveryConfig {
 /// the log keeps human-readable descriptions instead).
 pub type RecoveryEvent = String;
 
-/// Errors surfaced by the recoverable pipeline runner.
+/// Errors surfaced by the pipeline runners.
 #[derive(Debug)]
 pub enum PipelineError {
     /// DNN→SNN conversion failed.
@@ -136,8 +132,10 @@ pub enum PipelineError {
     /// A checkpoint could not be written, or no valid checkpoint was found
     /// when one was required (resume, rollback).
     Checkpoint(CheckpointError),
-    /// Training failed numerically and the retry budget is exhausted
-    /// ([`TrainError::Diverged`]).
+    /// Training failed numerically: the retry budget of a recoverable run
+    /// is exhausted ([`TrainError::Diverged`]), or a
+    /// [`run_pipeline`](crate::run_pipeline) run, which has no checkpoint
+    /// to roll back to, hit its first non-finite loss or gradient.
     Train(TrainError),
     /// A [`FaultPlan`](crate::FaultPlan) crash fault fired: the run stopped
     /// as if the process had been killed at that point. Resume with
@@ -251,14 +249,14 @@ impl ull_nn::ValidatePayload for PipelineCheckpoint {
 
 /// In-memory run cursor: the checkpoint payload plus the phase/epoch
 /// cursor that lives in the envelope metadata.
-struct RunState {
+pub(crate) struct RunState {
     phase: PipelinePhase,
     epoch: usize,
     ckpt: PipelineCheckpoint,
 }
 
 impl RunState {
-    fn fresh(dnn: &Network) -> Self {
+    pub(crate) fn fresh(dnn: &Network) -> Self {
         RunState {
             phase: PipelinePhase::DnnTrain,
             epoch: 0,
@@ -460,7 +458,16 @@ pub fn run_pipeline_recoverable_with_faults(
 ) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
     fs::create_dir_all(&rcfg.checkpoint_dir).map_err(CheckpointError::Io)?;
     let state = RunState::fresh(dnn);
-    drive(dnn, train_data, test_data, cfg, rcfg, rng, plan, state)
+    drive(
+        dnn,
+        train_data,
+        test_data,
+        cfg,
+        Some(rcfg),
+        rng,
+        plan,
+        state,
+    )
 }
 
 /// Resumes an interrupted run from the newest valid checkpoint in
@@ -509,7 +516,16 @@ pub fn resume_pipeline_with_faults(
     let (ckpt, meta, _path) = load_latest::<PipelineCheckpoint>(&rcfg.checkpoint_dir)?;
     let state = restore(ckpt, &meta, dnn, rng)?;
     ull_obs::counter_add("recovery.resumes", 1);
-    drive(dnn, train_data, test_data, cfg, rcfg, rng, plan, state)
+    drive(
+        dnn,
+        train_data,
+        test_data,
+        cfg,
+        Some(rcfg),
+        rng,
+        plan,
+        state,
+    )
 }
 
 /// Resumes if `rcfg.checkpoint_dir` holds a valid checkpoint, otherwise
@@ -535,7 +551,7 @@ pub fn run_or_resume_pipeline(
                 train_data,
                 test_data,
                 cfg,
-                rcfg,
+                Some(rcfg),
                 rng,
                 &mut FaultPlan::none(),
                 state,
@@ -545,25 +561,27 @@ pub fn run_or_resume_pipeline(
     }
 }
 
-/// The phase-cursor drive loop shared by fresh and resumed runs.
+/// The pipeline's phase loop, shared by [`run_pipeline`](crate::run_pipeline)
+/// and by fresh and resumed recoverable runs. With `rcfg == None` it
+/// commits and prunes nothing, skips the loss-explosion check, and returns
+/// the first [`TrainError`] as [`PipelineError::Train`], since there is no
+/// checkpoint to roll back to.
 #[allow(clippy::too_many_arguments)]
-fn drive(
+pub(crate) fn drive(
     dnn: &mut Network,
     train_data: &Dataset,
     test_data: &Dataset,
     cfg: &PipelineConfig,
-    rcfg: &RecoveryConfig,
+    rcfg: Option<&RecoveryConfig>,
     rng: &mut StdRng,
     plan: &mut FaultPlan,
     mut state: RunState,
 ) -> Result<(PipelineReport, SnnNetwork), PipelineError> {
-    let every_n = rcfg.every_n_epochs.max(1);
-
     // ---- Phase (a): DNN training -------------------------------------
     if state.phase == PipelinePhase::DnnTrain {
         let phase_span = ull_obs::span("pipeline.train_dnn");
         // Base checkpoint so even an epoch-0 failure has a rollback target.
-        if state.epoch == 0 {
+        if let (0, Some(rcfg)) = (state.epoch, rcfg) {
             commit(&state, rcfg, rng)?;
         }
         let tcfg = TrainConfig {
@@ -574,66 +592,34 @@ fn drive(
         let schedule = LrSchedule::paper(cfg.dnn_epochs).with_warmup(cfg.dnn_epochs / 10);
         while state.epoch < cfg.dnn_epochs {
             let e = state.epoch;
+            // Warmup + gradient clipping stabilise batch-norm-free deep nets.
             let sgd = Sgd::new(cfg.dnn_sgd).with_clip(5.0);
             let lr = schedule.factor(e) * state.ckpt.lr_backoff;
             let nan_batch = plan.take_nan(PipelinePhase::DnnTrain, e);
             // Keep the DNN inside `state` in sync: train the state copy,
             // then mirror into the caller's network on success.
             let mut net = state.ckpt.dnn.clone();
-            let result = match nan_batch {
-                Some(batch) => train_epoch_with_hook(
-                    &mut net,
-                    train_data,
-                    &sgd,
-                    lr,
-                    &tcfg,
-                    rng,
-                    &mut |n, b| {
-                        if b == batch {
-                            poison_first_grad(&mut |f| n.visit_params_mut(f));
-                        }
-                    },
-                ),
-                None => train_epoch_checked(&mut net, train_data, &sgd, lr, &tcfg, rng),
-            };
-            match result {
-                Ok(stats)
-                    if state.ckpt.last_loss > 0.0
-                        && stats.loss > rcfg.explosion_factor * state.ckpt.last_loss =>
-                {
-                    let reason = format!(
-                        "dnn-train epoch {e}: loss exploded ({} > {} x {})",
-                        stats.loss, rcfg.explosion_factor, state.ckpt.last_loss
-                    );
-                    rollback(&mut state, dnn, rcfg, rng, reason)?;
-                }
-                Ok(stats) => {
+            let result =
+                train_epoch_with_hook(&mut net, train_data, &sgd, lr, &tcfg, rng, &mut |n, b| {
+                    if Some(b) == nan_batch {
+                        poison_first_grad(&mut |f| n.visit_params_mut(f));
+                    }
+                })
+                .map(|stats| (stats.loss, stats.seconds));
+            settle(
+                &mut state,
+                dnn,
+                cfg.dnn_epochs,
+                rcfg,
+                rng,
+                plan,
+                result,
+                |state, dnn, seconds| {
                     state.ckpt.dnn = net.clone();
                     *dnn = net;
-                    state.ckpt.last_loss = stats.loss;
-                    state.ckpt.dnn_seconds += stats.seconds;
-                    state.epoch = e + 1;
-                    if state.epoch.is_multiple_of(every_n) || state.epoch == cfg.dnn_epochs {
-                        if plan.take_crash(PipelinePhase::DnnTrain, e) {
-                            return Err(PipelineError::SimulatedCrash {
-                                phase: PipelinePhase::DnnTrain,
-                                epoch: e,
-                            });
-                        }
-                        let path = commit(&state, rcfg, rng)?;
-                        if plan.take_corrupt(PipelinePhase::DnnTrain, e) {
-                            corrupt_file(&path).map_err(CheckpointError::Io)?;
-                            return Err(PipelineError::SimulatedCrash {
-                                phase: PipelinePhase::DnnTrain,
-                                epoch: e,
-                            });
-                        }
-                    }
-                }
-                Err(err) => {
-                    rollback(&mut state, dnn, rcfg, rng, format!("dnn-train: {err}"))?;
-                }
-            }
+                    state.ckpt.dnn_seconds += seconds;
+                },
+            )?;
         }
 
         drop(phase_span);
@@ -653,7 +639,9 @@ fn drive(
         state.epoch = 0;
         // Commit the phase transition so a crash during SGL never redoes
         // DNN training or conversion.
-        commit(&state, rcfg, rng)?;
+        if let Some(rcfg) = rcfg {
+            commit(&state, rcfg, rng)?;
+        }
         drop(phase_span);
     }
 
@@ -676,64 +664,38 @@ fn drive(
             .snn
             .clone()
             .expect("SGL phase always has an SNN (checked on restore)");
-        let result = match nan_batch {
-            Some(batch) => train_snn_epoch_with_hook(
-                &mut net,
-                train_data,
-                &snn_sgd,
-                lr,
-                &stcfg,
-                rng,
-                &mut |n, b| {
-                    if b == batch {
-                        poison_first_grad(&mut |f| n.visit_params_mut(f));
-                    }
-                },
-            ),
-            None => train_snn_epoch_checked(&mut net, train_data, &snn_sgd, lr, &stcfg, rng),
-        };
-        match result {
-            Ok(stats)
-                if state.ckpt.last_loss > 0.0
-                    && stats.loss > rcfg.explosion_factor * state.ckpt.last_loss =>
-            {
-                let reason = format!(
-                    "sgl epoch {e}: loss exploded ({} > {} x {})",
-                    stats.loss, rcfg.explosion_factor, state.ckpt.last_loss
-                );
-                rollback(&mut state, dnn, rcfg, rng, reason)?;
-            }
-            Ok(stats) => {
+        let result = train_snn_epoch_with_hook(
+            &mut net,
+            train_data,
+            &snn_sgd,
+            lr,
+            &stcfg,
+            rng,
+            &mut |n, b| {
+                if Some(b) == nan_batch {
+                    poison_first_grad(&mut |f| n.visit_params_mut(f));
+                }
+            },
+        )
+        .map(|stats| (stats.loss, stats.seconds));
+        settle(
+            &mut state,
+            dnn,
+            cfg.snn_epochs,
+            rcfg,
+            rng,
+            plan,
+            result,
+            |state, _, seconds| {
                 let (acc, _) = evaluate_snn(&net, test_data, cfg.time_steps, cfg.batch_size);
                 if acc > state.ckpt.best_acc {
                     state.ckpt.best_acc = acc;
                     state.ckpt.best_snn = Some(net.clone());
                 }
                 state.ckpt.snn = Some(net);
-                state.ckpt.last_loss = stats.loss;
-                state.ckpt.snn_seconds += stats.seconds;
-                state.epoch = e + 1;
-                if state.epoch.is_multiple_of(every_n) || state.epoch == cfg.snn_epochs {
-                    if plan.take_crash(PipelinePhase::Sgl, e) {
-                        return Err(PipelineError::SimulatedCrash {
-                            phase: PipelinePhase::Sgl,
-                            epoch: e,
-                        });
-                    }
-                    let path = commit(&state, rcfg, rng)?;
-                    if plan.take_corrupt(PipelinePhase::Sgl, e) {
-                        corrupt_file(&path).map_err(CheckpointError::Io)?;
-                        return Err(PipelineError::SimulatedCrash {
-                            phase: PipelinePhase::Sgl,
-                            epoch: e,
-                        });
-                    }
-                }
-            }
-            Err(err) => {
-                rollback(&mut state, dnn, rcfg, rng, format!("sgl: {err}"))?;
-            }
-        }
+                state.ckpt.snn_seconds += seconds;
+            },
+        )?;
     }
 
     drop(phase_span);
@@ -758,4 +720,60 @@ fn drive(
         },
         best_snn,
     ))
+}
+
+/// Settles one finished epoch of the current phase. `result` is the
+/// epoch's `(loss, seconds)` or its numeric failure; `accept` applies a
+/// good epoch's trained network and seconds to `state`.
+///
+/// A failure or a loss explosion rolls back to the last checkpoint. A good
+/// epoch advances the cursor and, every `every_n_epochs` epochs and at the
+/// phase end, commits a checkpoint (firing any crash/corrupt fault
+/// scheduled there). Without a [`RecoveryConfig`] a failure is returned as
+/// [`PipelineError::Train`] and explosions are not checked.
+#[allow(clippy::too_many_arguments)]
+fn settle(
+    state: &mut RunState,
+    dnn: &mut Network,
+    epochs: usize,
+    rcfg: Option<&RecoveryConfig>,
+    rng: &mut StdRng,
+    plan: &mut FaultPlan,
+    result: Result<(f32, f64), TrainError>,
+    accept: impl FnOnce(&mut RunState, &mut Network, f64),
+) -> Result<(), PipelineError> {
+    let (phase, e) = (state.phase, state.epoch);
+    let (loss, seconds) = match (result, rcfg) {
+        (Ok(done), _) => done,
+        (Err(err), None) => return Err(PipelineError::Train(err)),
+        (Err(err), Some(rcfg)) => {
+            return rollback(state, dnn, rcfg, rng, format!("{phase}: {err}"))
+        }
+    };
+    if let Some(rcfg) = rcfg {
+        if state.ckpt.last_loss > 0.0 && loss > rcfg.explosion_factor * state.ckpt.last_loss {
+            let reason = format!(
+                "{phase} epoch {e}: loss exploded ({loss} > {} x {})",
+                rcfg.explosion_factor, state.ckpt.last_loss
+            );
+            return rollback(state, dnn, rcfg, rng, reason);
+        }
+    }
+    accept(state, dnn, seconds);
+    state.ckpt.last_loss = loss;
+    state.epoch = e + 1;
+    let Some(rcfg) = rcfg else {
+        return Ok(());
+    };
+    if state.epoch.is_multiple_of(rcfg.every_n_epochs.max(1)) || state.epoch == epochs {
+        if plan.take_crash(phase, e) {
+            return Err(PipelineError::SimulatedCrash { phase, epoch: e });
+        }
+        let path = commit(state, rcfg, rng)?;
+        if plan.take_corrupt(phase, e) {
+            corrupt_file(&path).map_err(CheckpointError::Io)?;
+            return Err(PipelineError::SimulatedCrash { phase, epoch: e });
+        }
+    }
+    Ok(())
 }

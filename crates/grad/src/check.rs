@@ -2,8 +2,8 @@
 //!
 //! [`check_gradient`] compares an analytic gradient against the
 //! central-difference estimate `(f(x+ε) − f(x−ε)) / 2ε` coordinate by
-//! coordinate and reports the worst relative error. Every manual backward
-//! pass in `ull-nn` and `ull-snn` is validated with this in its tests.
+//! coordinate and reports the worst relative error. `ull-nn`'s tests check
+//! its manual backward pass for conv weights and the threshold μ with it.
 
 use ull_tensor::Tensor;
 
@@ -93,9 +93,6 @@ pub fn check_gradient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Graph;
-    use ull_tensor::conv::ConvGeometry;
-    use ull_tensor::init::{normal, seeded_rng};
 
     #[test]
     fn catches_a_wrong_gradient() {
@@ -116,57 +113,6 @@ mod tests {
         let rep = check_gradient(&mut f, &x, &correct, 1e-3, 1);
         assert!(rep.passes(1e-3), "worst rel {}", rep.max_rel_error);
         assert_eq!(rep.checked, 3);
-    }
-
-    #[test]
-    fn graph_conv_pipeline_passes_fd_check() {
-        // End-to-end: conv -> clip-threshold -> maxpool -> reshape -> CE loss,
-        // checking the *input* gradient of the whole composite.
-        let mut rng = seeded_rng(11);
-        let x0 = normal(&[1, 2, 4, 4], 0.0, 1.0, &mut rng);
-        let w0 = normal(&[3, 2, 3, 3], 0.0, 0.5, &mut rng);
-        let b0 = normal(&[3], 0.0, 0.1, &mut rng);
-        let geo = ConvGeometry::square(3, 1, 1);
-        let labels = vec![1usize];
-
-        let mut run = |xv: &Tensor| -> f32 {
-            let mut g = Graph::new();
-            let x = g.input(xv.clone());
-            let w = g.input(w0.clone());
-            let b = g.input(b0.clone());
-            let mu = g.input(Tensor::from_slice(&[0.8]));
-            let c = g.conv2d(x, w, Some(b), geo);
-            let a = g.clip_threshold(c, mu);
-            let p = g.maxpool2d(a, 2);
-            let r = g.reshape(p, &[1, 12]);
-            let loss = g.softmax_cross_entropy(r, &labels);
-            g.value(loss).data()[0]
-        };
-
-        // Analytic gradient from one tape pass.
-        let mut g = Graph::new();
-        let x = g.input(x0.clone());
-        let w = g.input(w0.clone());
-        let b = g.input(b0.clone());
-        let mu = g.input(Tensor::from_slice(&[0.8]));
-        let c = g.conv2d(x, w, Some(b), geo);
-        let a = g.clip_threshold(c, mu);
-        let p = g.maxpool2d(a, 2);
-        let r = g.reshape(p, &[1, 12]);
-        let loss = g.softmax_cross_entropy(r, &labels);
-        g.backward(loss);
-        let analytic = g.grad(x).clone();
-
-        // eps must stay well below the distance of any preactivation to the
-        // clip kinks at 0 and mu, or the probe steps across them and the
-        // central difference measures the wrong one-sided slope.
-        let rep = check_gradient(&mut run, &x0, &analytic, 1e-3, 1);
-        assert!(
-            rep.passes(5e-2),
-            "worst pointwise {} at {}",
-            rep.max_pointwise_error,
-            rep.worst_index
-        );
     }
 
     #[test]

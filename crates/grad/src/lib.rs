@@ -1,34 +1,29 @@
-//! Reverse-mode tape autograd over [`ull_tensor::Tensor`].
+//! Finite-difference gradient checking over [`ull_tensor::Tensor`].
 //!
 //! This crate is the *gradient oracle* of the workspace: the hand-written
-//! backward passes in `ull-nn` and `ull-snn` are validated against (a) this
-//! tape engine and (b) central finite differences ([`check`]). It is not the
-//! training hot path — the manual layer implementations are — so it favours
-//! clarity over speed.
+//! backward passes in `ull-nn` are checked against central finite
+//! differences with [`check_gradient`]. It is not the training hot path —
+//! the manual layer implementations are — so it favours clarity over
+//! speed.
 //!
 //! # Example
 //!
 //! ```
-//! use ull_grad::Graph;
+//! use ull_grad::check_gradient;
 //! use ull_tensor::Tensor;
 //!
-//! let mut g = Graph::new();
-//! let x = g.input(Tensor::from_vec(vec![1.0, -2.0, 3.0, 0.5], &[2, 2])?);
-//! let w = g.input(Tensor::eye(2));
-//! let y = g.matmul(x, w);
-//! let r = g.relu(y);
-//! let loss = g.sum(r);
-//! g.backward(loss);
-//! // d(sum ∘ relu)/dx is 1 where x > 0.
-//! assert_eq!(g.grad(x).data(), &[1.0, 0.0, 1.0, 1.0]);
-//! # Ok::<(), ull_tensor::TensorError>(())
+//! // f(x) = Σ x², whose gradient is 2x.
+//! let x = Tensor::from_slice(&[1.0, -2.0, 0.5]);
+//! let analytic = x.scale(2.0);
+//! let mut f = |t: &Tensor| t.data().iter().map(|v| v * v).sum::<f32>();
+//! let report = check_gradient(&mut f, &x, &analytic, 1e-3, 1);
+//! assert!(report.passes(1e-3));
+//! assert_eq!(report.checked, 3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod check;
-mod graph;
 
 pub use check::{check_gradient, GradCheckReport};
-pub use graph::{Graph, Var};

@@ -13,8 +13,9 @@
 //! * **max pooling** is kept (binary-spike-compatible after conversion),
 //! * SGD with step-decay learning rate (×0.1 at 60 / 80 / 90 % of epochs).
 //!
-//! All backward passes are hand-written for speed and validated against the
-//! `ull-grad` tape engine and finite differences in this crate's tests.
+//! All backward passes are hand-written for speed. This crate's tests check
+//! the conv-weight and threshold-μ gradients against central finite
+//! differences (`ull_grad::check_gradient`).
 //!
 //! # Example
 //!
@@ -54,6 +55,5 @@ pub use network::{Network, NetworkBuilder, NodeId, NodeOp, TapeEntry};
 pub use optim::{clip_network_grads, LrSchedule, Sgd, SgdConfig};
 pub use param::Param;
 pub use trainer::{
-    evaluate, train, train_epoch, train_epoch_checked, train_epoch_with_hook, EpochStats,
-    TrainConfig, TrainError,
+    evaluate, train, train_epoch, train_epoch_with_hook, EpochStats, TrainConfig, TrainError,
 };

@@ -8,12 +8,12 @@ use ull_data::{Augment, Dataset};
 
 use crate::{cross_entropy_grad, cross_entropy_loss, LrSchedule, Network, Sgd};
 
-/// Typed numeric-failure errors raised by the checked training loops.
+/// Typed numeric-failure errors raised by the training loops.
 ///
 /// Training close to degenerate regimes (trainable thresholds, surrogate
 /// gradients on a near-step function) can blow up into NaN/Inf; the
-/// checked loops surface that as data instead of poisoning the run or
-/// panicking, so a supervisor can roll back to a checkpoint and retry.
+/// `_with_hook` epoch loops surface that as data instead of poisoning the
+/// run, so a supervisor can roll back to a checkpoint and retry.
 /// (No serde: a NaN loss has no faithful JSON representation; recovery
 /// logs record `Display` strings instead.)
 #[derive(Debug, Clone, PartialEq)]
@@ -109,6 +109,11 @@ pub struct EpochStats {
 
 /// Runs one training epoch of `net` on `train`, updating parameters with
 /// `sgd` at learning-rate factor `lr_factor` (see [`LrSchedule::factor`]).
+///
+/// # Panics
+///
+/// Panics with the [`TrainError`] message on the first non-finite loss or
+/// gradient; [`train_epoch_with_hook`] returns it instead.
 pub fn train_epoch(
     net: &mut Network,
     train: &Dataset,
@@ -117,71 +122,24 @@ pub fn train_epoch(
     cfg: &TrainConfig,
     rng: &mut StdRng,
 ) -> EpochStats {
-    let _span = ull_obs::span("nn.train_epoch");
-    let start = std::time::Instant::now();
-    let augment = Augment {
-        pad: cfg.augment_pad,
-        flip: cfg.augment_flip,
-    };
-    let mut total_loss = 0.0f64;
-    let mut correct = 0usize;
-    let mut seen = 0usize;
-    for mut batch in train.epoch_batches(cfg.batch_size, rng) {
-        ull_obs::counter_add("nn.train.batches", 1);
-        augment.apply(&mut batch.images, rng);
-        let tape = net.forward_train(&batch.images, rng);
-        let logits = &tape[net.output()].activation;
-        let loss = cross_entropy_loss(logits, &batch.labels);
-        let grad = cross_entropy_grad(logits, &batch.labels);
-        for (pred, &label) in logits.argmax_rows().iter().zip(&batch.labels) {
-            if *pred == label {
-                correct += 1;
-            }
-        }
-        total_loss += loss as f64 * batch.labels.len() as f64;
-        seen += batch.labels.len();
-        net.zero_grad();
-        net.backward(&tape, &grad);
-        sgd.step(net, lr_factor);
-    }
-    EpochStats {
-        loss: (total_loss / seen.max(1) as f64) as f32,
-        accuracy: correct as f32 / seen.max(1) as f32,
-        seconds: start.elapsed().as_secs_f64(),
-    }
+    train_epoch_with_hook(net, train, sgd, lr_factor, cfg, rng, &mut |_, _| {})
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Like [`train_epoch`], but validates the loss and every gradient before
-/// each optimizer step and aborts the epoch with a typed [`TrainError`] on
-/// the first NaN/Inf, leaving parameter *values* untouched by the bad
-/// step. Consumes the RNG identically to [`train_epoch`] on the healthy
-/// path, so the two are interchangeable in deterministic pipelines.
+/// The DNN epoch loop. Validates the loss and every gradient before each
+/// optimizer step and aborts the epoch with a typed [`TrainError`] on the
+/// first NaN/Inf, leaving parameter *values* untouched by the bad step.
+///
+/// `hook` is called with `(net, batch_index)` after the backward pass and
+/// *before* the finite checks and the optimizer step. It is the seam the
+/// deterministic fault-injection harness (`ull-core`'s `FaultPlan`) uses to
+/// poison a gradient tensor at an exact, reproducible point; pass
+/// `&mut |_, _| {}` for none.
 ///
 /// # Errors
 ///
 /// [`TrainError::NonFiniteLoss`] or [`TrainError::NonFiniteGrad`] at the
 /// first numerically broken batch.
-pub fn train_epoch_checked(
-    net: &mut Network,
-    train: &Dataset,
-    sgd: &Sgd,
-    lr_factor: f32,
-    cfg: &TrainConfig,
-    rng: &mut StdRng,
-) -> Result<EpochStats, TrainError> {
-    train_epoch_with_hook(net, train, sgd, lr_factor, cfg, rng, &mut |_, _| {})
-}
-
-/// [`train_epoch_checked`] with a per-batch instrumentation hook, called
-/// after the backward pass and *before* the finite checks and the
-/// optimizer step with `(net, batch_index)`. This is the seam the
-/// deterministic fault-injection harness (`ull-core`'s `FaultPlan`) uses
-/// to poison a gradient tensor at an exact, reproducible point; production
-/// callers want [`train_epoch_checked`].
-///
-/// # Errors
-///
-/// Same as [`train_epoch_checked`].
 pub fn train_epoch_with_hook(
     net: &mut Network,
     train: &Dataset,
@@ -336,28 +294,35 @@ mod tests {
         assert_eq!(evaluate(&net, &test_data, 8), evaluate(&net, &test_data, 8));
     }
 
+    /// `small_net` with a NaN in each weight tensor (not in the scalar
+    /// thresholds μ, whose NaN would panic `clip` before the loss is even
+    /// computed).
+    fn nan_weight_net(classes: usize, size: usize) -> Network {
+        let mut net = small_net(classes, size);
+        net.visit_params_mut(|p| {
+            if p.len() > 1 {
+                p.value.data_mut()[0] = f32::NAN;
+            }
+        });
+        net
+    }
+
     #[test]
-    fn checked_epoch_matches_unchecked_bit_for_bit() {
+    #[should_panic(expected = "non-finite loss")]
+    fn train_epoch_panics_on_nan_weights() {
         let cfg = SynthCifarConfig::tiny(3);
         let (train_data, _) = generate(&cfg);
+        let mut net = nan_weight_net(3, cfg.image_size);
         let sgd = Sgd::new(SgdConfig::default());
-        let tcfg = TrainConfig::default();
-        let mut a = small_net(3, cfg.image_size);
-        let mut b = a.clone();
-        let mut rng_a = seeded_rng(31);
-        let mut rng_b = seeded_rng(31);
-        let sa = train_epoch(&mut a, &train_data, &sgd, 1.0, &tcfg, &mut rng_a);
-        let sb = train_epoch_checked(&mut b, &train_data, &sgd, 1.0, &tcfg, &mut rng_b).unwrap();
-        assert_eq!(sa.loss.to_bits(), sb.loss.to_bits());
-        assert_eq!(sa.accuracy, sb.accuracy);
-        let mut va = Vec::new();
-        a.visit_params(|p| va.extend_from_slice(p.value.data()));
-        let mut vb = Vec::new();
-        b.visit_params(|p| vb.extend_from_slice(p.value.data()));
-        assert!(va.iter().zip(&vb).all(|(x, y)| x.to_bits() == y.to_bits()));
-        // Identical residual RNG state: the loops are interchangeable
-        // mid-pipeline without perturbing downstream randomness.
-        assert_eq!(rng_a, rng_b);
+        let mut rng = seeded_rng(31);
+        train_epoch(
+            &mut net,
+            &train_data,
+            &sgd,
+            1.0,
+            &TrainConfig::default(),
+            &mut rng,
+        );
     }
 
     #[test]
@@ -397,23 +362,17 @@ mod tests {
     fn checked_epoch_detects_nan_weights_as_nonfinite_loss() {
         let cfg = SynthCifarConfig::tiny(3);
         let (train_data, _) = generate(&cfg);
-        let mut net = small_net(3, cfg.image_size);
-        // Poison a weight tensor (not the scalar threshold μ, whose NaN
-        // would panic `clip` before the loss is even computed).
-        net.visit_params_mut(|p| {
-            if p.len() > 1 {
-                p.value.data_mut()[0] = f32::NAN;
-            }
-        });
+        let mut net = nan_weight_net(3, cfg.image_size);
         let sgd = Sgd::new(SgdConfig::default());
         let mut rng = seeded_rng(33);
-        let r = train_epoch_checked(
+        let r = train_epoch_with_hook(
             &mut net,
             &train_data,
             &sgd,
             1.0,
             &TrainConfig::default(),
             &mut rng,
+            &mut |_, _| {},
         );
         assert!(
             matches!(r, Err(TrainError::NonFiniteLoss { batch: 0, .. })),

@@ -19,7 +19,9 @@ ULL_THREADS=1 cargo test -p ull-snn --test alloc_free -q
 ULL_THREADS=1 cargo test -p ull-snn packing -q
 
 echo "== packed toggle is inert (disabled run matches default) =="
-ULL_PACKED=0 cargo test -p ull-tensor --test packed_diff -q
+# The sparse suite runs the forward through ull_snn::packing::packed_for,
+# the only reader of the toggle; packed_diff calls the kernels directly.
+ULL_PACKED=0 cargo test -p ull-snn --test sparse -q
 
 echo "== kernel acceptance gate =="
 cargo build --release -p ull-bench --bin kernel_bench
