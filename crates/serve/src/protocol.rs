@@ -283,12 +283,17 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     Ok(payload)
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write`: the prefix and
+/// the payload go out in one buffer. Split writes on a socket would let
+/// Nagle's algorithm hold the payload until the peer's delayed ACK for
+/// the prefix arrives (~40 ms per reply).
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -402,6 +407,71 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap(), b"");
         assert_eq!(read_frame(&mut cursor), Err(FrameError::Closed));
+    }
+
+    /// A `Write` that records the size of every `write` call it sees.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_goes_out_in_one_write() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!(w.writes, vec![4 + 5]);
+
+        let reply = Reply::Prediction {
+            id: 3,
+            trace: trace_id(1, 2),
+            class: 1,
+            logits: vec![0.25, 0.75],
+            rung: RungLabel::Full,
+            steps: 3,
+        };
+        let mut w = CountingWriter::default();
+        write_reply(&mut w, &reply).unwrap();
+        assert_eq!(
+            w.writes.len(),
+            1,
+            "write_reply split the frame: {:?}",
+            w.writes
+        );
+        let mut cursor = &w.bytes[..];
+        let payload = read_frame(&mut cursor).unwrap();
+        assert_eq!(payload, serde_json::to_string(&reply).unwrap().as_bytes());
+
+        let mut w = CountingWriter::default();
+        write_control_reply(
+            &mut w,
+            &ControlReply::Health {
+                id: 1,
+                ok: true,
+                draining: false,
+                queue_depth: 0,
+                breakers: vec![BreakerState::Closed],
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            w.writes.len(),
+            1,
+            "write_control_reply split the frame: {:?}",
+            w.writes
+        );
     }
 
     #[test]

@@ -101,16 +101,21 @@ pub fn retry_with_backoff<T, E>(
 
 /// [`TcpStream::connect`] with bounded, deterministically-jittered
 /// retries — the startup-race-tolerant way to dial a serve listener.
+/// The returned stream has `TCP_NODELAY` set, like the server's side, so
+/// request frames never wait on a delayed ACK.
 ///
 /// # Errors
 ///
-/// The error of the final connect attempt once the budget is exhausted.
+/// The error of the final connect attempt once the budget is exhausted,
+/// or the error of setting `TCP_NODELAY`.
 pub fn connect_with_retry(addr: SocketAddr, policy: &RetryPolicy) -> io::Result<TcpStream> {
-    retry_with_backoff(
+    let stream = retry_with_backoff(
         policy,
         |_| TcpStream::connect(addr),
         |ms| std::thread::sleep(Duration::from_millis(ms)),
-    )
+    )?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 #[cfg(test)]
@@ -226,6 +231,10 @@ mod tests {
         assert!(
             conn.is_ok(),
             "retry should outlast the startup race: {conn:?}"
+        );
+        assert!(
+            conn.as_ref().unwrap().nodelay().unwrap(),
+            "the dialled stream must have TCP_NODELAY set"
         );
         drop(conn);
         let _ = binder.join();

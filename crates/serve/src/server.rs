@@ -164,6 +164,9 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
+                    // Replies are small request/response frames: send
+                    // each at once instead of waiting on the peer's ACK.
+                    let _ = stream.set_nodelay(true);
                     // Each TCP connection is its own logical connection:
                     // fork a fresh serial so per-connection request
                     // serials restart at 0.

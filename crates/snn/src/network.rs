@@ -18,7 +18,7 @@ use ull_tensor::{
 };
 
 use crate::dispatch::{self, RouteState};
-use crate::packing::{self, PackedNet};
+use crate::packing::{self, PackMemo, PackedNet};
 use crate::stats::SpikeStats;
 
 /// Error type for SNN construction and transformation.
@@ -353,10 +353,41 @@ impl SnnTape {
 
 /// A spiking neural network sharing the topology of its source DNN
 /// (node ids are identical, which the analysis tooling relies on).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SnnNetwork {
     nodes: Vec<SnnNode>,
     output: NodeId,
+    /// The packed weights last resolved for these nodes (see
+    /// [`packing`]); cleared by every `&mut` path to the weights.
+    pub(crate) pack: PackMemo,
+}
+
+// Written by hand so the memo stays out of JSON and checkpoints: the
+// encoding is the derived `{"nodes", "output"}` map.
+impl Serialize for SnnNetwork {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("nodes".to_string(), self.nodes.to_value()),
+            ("output".to_string(), self.output.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for SnnNetwork {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("struct SnnNetwork: expected map"))?;
+        let field = |name: &str| {
+            serde::map_get(m, name)
+                .ok_or_else(|| serde::Error::custom(format!("SnnNetwork: missing field `{name}`")))
+        };
+        Ok(SnnNetwork {
+            nodes: Deserialize::from_value(field("nodes")?)?,
+            output: Deserialize::from_value(field("output")?)?,
+            pack: PackMemo::default(),
+        })
+    }
 }
 
 impl SnnNetwork {
@@ -417,6 +448,7 @@ impl SnnNetwork {
         Ok(SnnNetwork {
             nodes,
             output: dnn.output(),
+            pack: PackMemo::default(),
         })
     }
 
@@ -425,8 +457,10 @@ impl SnnNetwork {
         &self.nodes
     }
 
-    /// Mutable node access (used by converters).
+    /// Mutable node access (used by converters). Forgets the memoised
+    /// packed weights.
     pub fn nodes_mut(&mut self) -> &mut [SnnNode] {
+        self.pack.clear();
         &mut self.nodes
     }
 
@@ -446,7 +480,9 @@ impl SnnNetwork {
     }
 
     /// Applies `f` to every trainable parameter (weights, V^th, λ).
+    /// Forgets the memoised packed weights.
     pub fn visit_params_mut(&mut self, mut f: impl FnMut(&mut Param)) {
+        self.pack.clear();
         for node in &mut self.nodes {
             match &mut node.op {
                 SnnOp::Conv2d { weight, bias, .. } => {
@@ -609,9 +645,9 @@ impl SnnNetwork {
     ) -> SnnOutput {
         let batch = x.shape()[0];
         let threads = parallel::num_threads();
-        // Resolve the packed weights once per forward call — one
-        // fingerprint scan and one cache lookup, outside the worker pool —
-        // and share the pack across every batch chunk and time step.
+        // Resolve the packed weights once per forward call, outside the
+        // worker pool (a memo hit unless the weights changed), and share
+        // the pack across every batch chunk and time step.
         let pack = packing::packed_for(self);
         let pack = pack.as_deref();
         let run = |x: &Tensor, offset: usize| {
@@ -1125,6 +1161,7 @@ impl SnnNetwork {
     /// weighted layer (the scale would be ambiguous), or if the amplitude
     /// is not positive (max pooling would not commute).
     pub fn fold_amplitudes(&mut self) -> Result<(), SnnError> {
+        self.pack.clear();
         // consumers[i] = nodes that read node i.
         let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {
