@@ -15,6 +15,12 @@
 //! bit-identity across `ULL_THREADS` {1, 4} × packed/unpacked, plus the
 //! pack-reuse check (`snn.pack.builds == 1` across repeated forwards).
 //!
+//! Batch-1 rows time a lone forward at `ULL_THREADS=1` and at the default
+//! thread count, and measure the two costs `MIN_FORK_MACS` rests on: the
+//! spawn+join cost of one fork and the packed GEMM's ns per MAC. `--gate`
+//! also asserts that batch-1 forwards at 2 and 4 threads fork zero times
+//! (`tensor.par.forks`), a count, not a time.
+//!
 //! Wall-clock times are printed for context only; on a small shared
 //! container the *counted* work and the bit-identity claims are the
 //! reliable metrics, which is why the gate never reads a timer.
@@ -29,7 +35,8 @@ use ull_nn::NetworkBuilder;
 use ull_snn::packing::clear_pack_cache;
 use ull_snn::{set_sparse_cutoff, SnnNetwork, SnnOutput, SpikeSpec};
 use ull_tensor::init::{normal, seeded_rng};
-use ull_tensor::{parallel, set_packed, Tensor};
+use ull_tensor::matmul::MIN_FORK_MACS;
+use ull_tensor::{matmul_tb_packed, parallel, set_packed, PackedWeights, Tensor};
 
 const SEED: u64 = 2022;
 const BATCH: usize = 32;
@@ -39,6 +46,12 @@ const T_SWEEP: [usize; 3] = [2, 3, 5];
 /// Timed repetitions per configuration; the minimum is reported, which is
 /// the standard way to shave scheduler noise off a small-kernel benchmark.
 const REPS: usize = 5;
+/// Repetitions of the fork and GEMM microbenchmarks; the median is
+/// reported.
+const MICRO_REPS: usize = 200;
+/// Dense `[m, k] · [n, k]ᵀ` GEMM the ns/MAC figure is taken on: the
+/// bench net's second conv at batch 4 (below `MIN_FORK_MACS`, so serial).
+const GEMM_DIMS: (usize, usize, usize) = (256, 72, 32);
 
 #[derive(Serialize)]
 struct KernelRow {
@@ -58,6 +71,31 @@ struct KernelRow {
 }
 
 #[derive(Serialize)]
+struct Batch1Row {
+    t_steps: usize,
+    wall_ms_threads_1: f64,
+    wall_ms_default_threads: f64,
+}
+
+/// A lone request's forward, and the costs that size `MIN_FORK_MACS`.
+#[derive(Serialize)]
+struct Batch1 {
+    /// Thread count of the `wall_ms_default_threads` column.
+    default_threads: usize,
+    rows: Vec<Batch1Row>,
+    /// `tensor.par.forks` across batch-1 forwards at 2 and 4 threads.
+    b1_forks: u64,
+    /// Median wall µs of a fork with one helper and no work.
+    spawn_join_us: f64,
+    /// Median serial packed-GEMM ns per MAC on a dense lhs.
+    packed_ns_per_mac: f64,
+    /// MACs at which a two-thread fork's saving (half the serial GEMM
+    /// time) equals its spawn+join cost.
+    break_even_macs: f64,
+    min_fork_macs: usize,
+}
+
+#[derive(Serialize)]
 struct KernelBench {
     batch: usize,
     channels: usize,
@@ -65,6 +103,7 @@ struct KernelBench {
     /// Pack builds observed across the whole sweep (one network).
     pack_builds: u64,
     rows: Vec<KernelRow>,
+    batch1: Batch1,
 }
 
 fn workspace_root() -> PathBuf {
@@ -95,6 +134,8 @@ struct Measured {
     macs: u64,
     acs: u64,
     im2col_bytes: u64,
+    /// `tensor.par.forks` of one forward.
+    forks: u64,
     wall_ms: f64,
 }
 
@@ -125,7 +166,64 @@ fn measure(snn: &SnnNetwork, x: &Tensor, t_steps: usize, packed: bool) -> Measur
             .get("tensor.im2col.bytes")
             .copied()
             .unwrap_or(0),
+        forks: snap.counters.get("tensor.par.forks").copied().unwrap_or(0),
         wall_ms,
+    }
+}
+
+fn median_us(mut run: impl FnMut()) -> f64 {
+    let mut us: Vec<f64> = (0..MICRO_REPS)
+        .map(|_| {
+            let start = Instant::now();
+            run();
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[us.len() / 2]
+}
+
+/// Times a batch-1 forward per T at 1 and at the default thread count,
+/// counts its forks at 2 and 4 threads, and measures the fork and GEMM
+/// costs behind `MIN_FORK_MACS`.
+fn batch1(snn: &SnnNetwork, x1: &Tensor) -> Batch1 {
+    let at = |threads: usize, t: usize| {
+        parallel::set_threads(threads);
+        measure(snn, x1, t, true)
+    };
+    let rows = T_SWEEP
+        .iter()
+        .map(|&t| Batch1Row {
+            t_steps: t,
+            wall_ms_threads_1: at(1, t).wall_ms,
+            wall_ms_default_threads: at(0, t).wall_ms,
+        })
+        .collect();
+    let default_threads = parallel::num_threads();
+    let b1_forks = [2, 4].iter().map(|&threads| at(threads, 3).forks).sum();
+
+    parallel::set_threads(2);
+    let spawn_join_us = median_us(|| {
+        std::hint::black_box(parallel::par_map(2, |i| i));
+    });
+    parallel::set_threads(1);
+    let (m, k, n) = GEMM_DIMS;
+    let mut rng = seeded_rng(SEED);
+    let a = normal(&[m, k], 0.0, 1.0, &mut rng);
+    let b = PackedWeights::pack_rhs_t(&normal(&[n, k], 0.0, 1.0, &mut rng));
+    let gemm_us = median_us(|| {
+        std::hint::black_box(matmul_tb_packed(std::hint::black_box(&a), &b));
+    });
+    parallel::set_threads(0);
+    let packed_ns_per_mac = gemm_us * 1e3 / (m * k * n) as f64;
+    Batch1 {
+        default_threads,
+        rows,
+        b1_forks,
+        spawn_join_us,
+        packed_ns_per_mac,
+        break_even_macs: 2.0 * spawn_join_us * 1e3 / packed_ns_per_mac,
+        min_fork_macs: MIN_FORK_MACS,
     }
 }
 
@@ -214,12 +312,30 @@ fn main() {
     }
     println!("pack builds across sweep: {pack_builds}");
 
+    let batch1 = batch1(&snn, &x.slice_batch(0, 1));
+    for row in &batch1.rows {
+        println!(
+            "batch 1, T={}: {:.3} ms at 1 thread, {:.3} ms at {} (default)",
+            row.t_steps, row.wall_ms_threads_1, row.wall_ms_default_threads, batch1.default_threads
+        );
+    }
+    println!(
+        "fork: {:.1} us spawn+join, packed GEMM {:.3} ns/MAC, two-thread break-even {:.0} MACs \
+         (MIN_FORK_MACS {}); batch-1 forks at 2 and 4 threads: {}",
+        batch1.spawn_join_us,
+        batch1.packed_ns_per_mac,
+        batch1.break_even_macs,
+        batch1.min_fork_macs,
+        batch1.b1_forks
+    );
+
     let bench = KernelBench {
         batch: BATCH,
         channels: CHANNELS,
         image: IMAGE,
         pack_builds,
         rows,
+        batch1,
     };
     let bench_path = workspace_root().join("BENCH_kernels.json");
     std::fs::write(
@@ -233,6 +349,10 @@ fn main() {
         assert_eq!(
             pack_builds, 1,
             "pack cache must build once per network, not once per forward"
+        );
+        assert_eq!(
+            bench.batch1.b1_forks, 0,
+            "a batch-1 forward must run serially at any thread count"
         );
         // Bit-identity across thread counts × packing — the full
         // correctness matrix the differential harness fuzzes, on the

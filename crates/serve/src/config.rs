@@ -184,7 +184,10 @@ pub struct ServeConfig {
     /// Largest batch a worker assembles before executing.
     pub max_batch: usize,
     /// How long a worker lingers for more requests once it holds at
-    /// least one, in milliseconds.
+    /// least one, in milliseconds, while no other worker is idle. An
+    /// idle worker would take a new arrival at once, so lingering then
+    /// would only delay the requests already held; with one worker, or
+    /// with every other worker busy, the full linger applies.
     pub max_linger_ms: u64,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline_ms: u64,

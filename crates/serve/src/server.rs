@@ -56,6 +56,10 @@ struct Pending {
 struct QueueState {
     q: VecDeque<Pending>,
     draining: bool,
+    /// Workers blocked waiting for the first request of a batch. While
+    /// one is idle it would take any new arrival at once, so a worker
+    /// holding requests stops lingering for company.
+    idle: usize,
 }
 
 struct Shared {
@@ -111,6 +115,7 @@ impl Server {
             queue: Mutex::new(QueueState {
                 q: VecDeque::new(),
                 draining: false,
+                idle: 0,
             }),
             cv: Condvar::new(),
             conn_seq: AtomicU64::new(0),
@@ -455,18 +460,29 @@ fn worker_loop(shared: &Shared) {
     let linger = Duration::from_millis(cfg.max_linger_ms);
     loop {
         // Assemble a batch: block for the first live request, then
-        // linger briefly for more, up to `max_batch`.
+        // linger briefly for more, up to `max_batch`, but only while no
+        // other worker is idle.
         let (batch, depth_behind) = {
             let mut st = lock_queue(shared);
+            let mut idle = false;
             let first = loop {
                 if let Some(p) = pop_live(&mut st, Instant::now()) {
                     break p;
                 }
                 if st.draining {
-                    return;
+                    return; // a draining queue ends every linger anyway
+                }
+                if !idle {
+                    // Going idle ends any other worker's linger: wake it.
+                    idle = true;
+                    st.idle += 1;
+                    shared.cv.notify_all();
                 }
                 st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
             };
+            if idle {
+                st.idle -= 1;
+            }
             let form_start = Instant::now();
             let mut batch = vec![first];
             let linger_until = form_start + linger;
@@ -476,7 +492,7 @@ fn worker_loop(shared: &Shared) {
                     continue;
                 }
                 let now = Instant::now();
-                if st.draining || now >= linger_until {
+                if st.draining || st.idle > 0 || now >= linger_until {
                     break;
                 }
                 let (guard, _) = shared

@@ -4,7 +4,7 @@
 //! and thread-count invariance of clean runs.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ull_data::{generate, Dataset, SynthCifarConfig};
 use ull_nn::models;
@@ -366,6 +366,72 @@ fn worker_panics_are_isolated_and_retried() {
 
     // The worker survived both episodes.
     assert!(client.call(reqs[2].clone()).is_prediction());
+    server.shutdown();
+}
+
+#[test]
+fn a_lone_request_skips_the_linger_while_another_worker_is_idle() {
+    let data = test_data();
+    let cfg = ServeConfig {
+        workers: 2,
+        max_linger_ms: 10_000,
+        ..base_config()
+    };
+    let engine = Engine::new(
+        cfg.clone(),
+        vec![replica("primary", clean_net(11), &data, &cfg)],
+        None,
+    );
+    let server = Server::start(engine);
+    let client = server.client();
+    // The idle worker would take any new arrival at once, so waiting for
+    // company would only delay this request by the full 10 s linger.
+    let start = Instant::now();
+    assert!(client.call(requests(&data, 1).remove(0)).is_prediction());
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_secs(5),
+        "a lone request waited {waited:?} with an idle worker"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_single_worker_still_lingers_to_batch_back_to_back_submits() {
+    let data = test_data();
+    let cfg = ServeConfig {
+        workers: 1,
+        max_batch: 2,
+        max_linger_ms: 2_000,
+        ..base_config()
+    };
+    let engine = Engine::new(
+        cfg.clone(),
+        vec![replica("primary", clean_net(11), &data, &cfg)],
+        None,
+    );
+    let server = Server::start(engine);
+    let client = server.client();
+    let receivers: Vec<_> = requests(&data, 2)
+        .into_iter()
+        .map(|r| client.submit(r))
+        .collect();
+    for rx in receivers {
+        let reply = rx.recv_timeout(Duration::from_secs(30)).expect("reply");
+        assert!(reply.is_prediction(), "got {reply:?}");
+    }
+    // The engine's own event log, not the process-global `serve.batches`
+    // counter, which engines in concurrently running tests also bump.
+    let batches = server
+        .engine()
+        .take_events()
+        .iter()
+        .filter(|e| e.batch().is_some())
+        .count();
+    assert_eq!(
+        batches, 1,
+        "no worker is idle, so both requests share a batch"
+    );
     server.shutdown();
 }
 

@@ -11,8 +11,9 @@
 //! rows, which is the fastest portable ordering for row-major data without
 //! explicit blocking or SIMD intrinsics.
 //!
-//! Output rows are independent, so each kernel distributes contiguous
-//! row blocks over [`crate::parallel`]. Every output element is
+//! Output rows are independent, so each kernel at or above
+//! [`MIN_FORK_MACS`] distributes contiguous row blocks over
+//! [`crate::parallel`]; smaller ones run serially. Every output element is
 //! accumulated in the same order as the serial loop regardless of the
 //! thread count, so results are bit-identical for any `ULL_THREADS`.
 //!
@@ -27,10 +28,31 @@
 use crate::parallel;
 use crate::Tensor;
 
-/// Rows per parallel work item: ~4 blocks per worker balances load without
-/// making the chunk queue hot. Block size never affects results — each
-/// output row is accumulated independently in serial order.
-pub(crate) fn row_block(rows: usize) -> usize {
+/// Nominal multiply-accumulates (`m·k·n`) below which a GEMM runs
+/// serially on the calling thread instead of forking helpers.
+///
+/// A fork pays for itself when the time it saves, about
+/// `(1 − 1/threads)·m·k·n·ns_per_mac`, exceeds its spawn+join cost.
+/// `kernel_bench` measures both and records the two-thread break-even in
+/// `BENCH_kernels.json`: about 50 µs per spawn+join and 0.45 ns/MAC put
+/// it near 220 k MACs on a 2-vCPU x86-64 host. The threshold sits about
+/// 4.5× above that because a fork inside a forward costs more than the
+/// bare measurement: with a threshold of 0, the 12 forks of a batch-1
+/// VGG-11 forward (width 0.25, 16×16, T = 3) add about 1.9 ms on that
+/// host, ~160 µs each. Every layer of that forward (at most 590 k MACs)
+/// runs serially, while the training GEMMs at batch 32 (millions of MACs
+/// each) still fork.
+pub const MIN_FORK_MACS: usize = 1 << 20;
+
+/// Rows per parallel work item for a GEMM of `macs` nominal MACs over
+/// `rows` output rows: ~4 blocks per worker balances load without making
+/// the chunk queue hot, and a GEMM under [`MIN_FORK_MACS`] is one block,
+/// so it runs serially. Block size never affects results — each output
+/// row is accumulated independently in serial order.
+pub(crate) fn row_block(rows: usize, macs: usize) -> usize {
+    if macs < MIN_FORK_MACS {
+        return rows.max(1);
+    }
     rows.div_ceil(parallel::num_threads().saturating_mul(4).max(1))
         .max(1)
 }
@@ -59,7 +81,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     let ad = a.data();
     let bd = b.data();
-    let block = row_block(m);
+    let block = row_block(m, m * k * n);
     parallel::par_chunks_mut(&mut out, block * n, |ci, chunk| {
         let i0 = ci * block;
         let mut executed = 0u64;
@@ -102,7 +124,7 @@ pub fn matmul_transpose_a(a: &Tensor, b: &Tensor) -> Tensor {
     // Workers own disjoint output-row blocks; the p loop stays outermost
     // inside each block, so every element accumulates over p in ascending
     // order exactly as the serial single-block loop did.
-    let block = row_block(m);
+    let block = row_block(m, m * k * n);
     parallel::par_chunks_mut(&mut out, block * n, |ci, chunk| {
         let i0 = ci * block;
         let rows = chunk.len() / n;
@@ -170,7 +192,7 @@ pub(crate) fn matmul_tb_raw(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize
     assert_eq!(out.len(), m * n, "matmul_tb_raw: out length");
     let _span = ull_obs::span("tensor.matmul_tb");
     ull_obs::counter_add("tensor.macs", (m * k * n) as u64);
-    let block = row_block(m);
+    let block = row_block(m, m * k * n);
     parallel::par_chunks_mut(out, block * n, |ci, chunk| {
         let i0 = ci * block;
         let mut executed = 0u64;
@@ -367,6 +389,16 @@ mod tests {
         // Nominal: 2 · (4·10·6); executed: half of that in each kernel.
         assert_eq!(snap.counters["tensor.macs"], 2 * 4 * 10 * 6);
         assert_eq!(snap.counters["tensor.acs"], 4 * 10 * 6);
+        parallel::set_threads(0);
+    }
+
+    #[test]
+    fn gemms_below_min_fork_macs_are_one_block() {
+        let _guard = parallel::override_lock();
+        parallel::set_threads(4);
+        assert_eq!(row_block(256, MIN_FORK_MACS - 1), 256, "serial");
+        assert_eq!(row_block(256, MIN_FORK_MACS), 16, "4 threads × 4 blocks");
+        assert_eq!(row_block(0, 0), 1);
         parallel::set_threads(0);
     }
 

@@ -315,7 +315,7 @@ pub(crate) fn packed_gemm_raw(
     if m * n == 0 {
         return;
     }
-    let block = crate::matmul::row_block(m);
+    let block = crate::matmul::row_block(m, m * k * n);
     parallel::par_chunks_mut(out, block * n, |ci, chunk| {
         let i0 = ci * block;
         let rows = chunk.len() / n;

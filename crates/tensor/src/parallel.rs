@@ -1,12 +1,11 @@
 //! Dependency-free data parallelism for the hot kernels.
 //!
-//! A `std::thread::scope`-based worker pool with three entry points:
+//! Two entry points over `std::thread::scope`:
 //!
 //! * [`par_chunks_mut`] — split a mutable slice into contiguous chunks and
 //!   process them concurrently (row-blocked matmul, im2col).
 //! * [`par_map`] — evaluate `f(0..n)` concurrently and return the results
 //!   in index order (batch-parallel SNN simulation, per-layer α/β search).
-//! * [`par_join`] — run two closures concurrently.
 //!
 //! # Thread count
 //!
@@ -26,12 +25,23 @@
 //! `crates/tensor/tests/proptests.rs` and `crates/snn/tests/proptests.rs`
 //! assert exact equality between 1-, 2-, 3- and 4-thread runs.
 //!
-//! Threads are scoped: they are spawned and joined inside each call, so
-//! the pool holds no global state beyond the thread-count override and
-//! borrows (not moves) the caller's data. Calls nested inside a worker
-//! run inline on that worker — an outer fan-out (batch-parallel SNN
-//! steps) already owns every core, so inner kernels (matmul, im2col) do
-//! not spawn a second generation of threads.
+//! # Forks
+//!
+//! A call that has more than one work item *forks*: it spawns
+//! `width − 1` scoped helper threads, works through the shared queue on
+//! the calling thread as well, and joins the helpers before returning.
+//! The pool therefore holds no global state beyond the thread-count
+//! override and borrows (not moves) the caller's data. A fork costs a
+//! spawn and a join per helper, so callers whose work is small run it
+//! serially instead (the GEMMs fork only above
+//! [`crate::matmul::MIN_FORK_MACS`]). Calls nested inside a fork run
+//! inline on the thread that issued them — an outer fan-out
+//! (batch-parallel SNN steps) already owns every core, so inner kernels
+//! (matmul, im2col) do not spawn a second generation of threads.
+//!
+//! With `ull_obs` collecting, every fork adds 1 to `tensor.par.forks` and
+//! its helper count to `tensor.par.helpers`; disabled, each costs one
+//! relaxed load.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,11 +60,19 @@ fn in_pool() -> bool {
 }
 
 /// Marks the current thread as a pool worker for the duration of `f`.
+/// The mark is cleared even if `f` panics: the caller of a fork works as
+/// a pool worker too, and a serve worker that catches a kernel panic
+/// must not run every later kernel inline.
 fn as_pool_worker<R>(f: impl FnOnce() -> R) -> R {
+    struct Unmark;
+    impl Drop for Unmark {
+        fn drop(&mut self) {
+            IN_POOL.with(|p| p.set(false));
+        }
+    }
     IN_POOL.with(|p| p.set(true));
-    let r = f();
-    IN_POOL.with(|p| p.set(false));
-    r
+    let _unmark = Unmark;
+    f()
 }
 
 /// Programmatic override; 0 means "not set".
@@ -142,9 +160,47 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
+/// How many threads a call over `items` independent work items should
+/// use: 1 (run inline) under the serial fallback, for a single item, or
+/// when already on a pool worker; otherwise one per item up to
+/// [`num_threads`].
+fn width(items: usize) -> usize {
+    if in_pool() {
+        1
+    } else {
+        num_threads().min(items)
+    }
+}
+
+/// Runs `work` on the calling thread and on `width − 1` scoped helper
+/// threads, returning once every thread has finished. `work` pulls its
+/// items from a shared queue, so the caller does its share instead of
+/// idling in a join. Every thread runs as a pool worker (nested calls
+/// run inline), and helpers adopt the caller's open-span path so spans
+/// inside `work` roll up under the span that issued the call.
+///
+/// A panic on any thread reaches the caller with its original payload
+/// once every thread has stopped.
+fn fork(width: usize, work: impl Fn() + Sync) {
+    ull_obs::counter_add("tensor.par.forks", 1);
+    ull_obs::counter_add("tensor.par.helpers", (width - 1) as u64);
+    let parent = ull_obs::current_path();
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..width)
+            .map(|_| s.spawn(|| as_pool_worker(|| ull_obs::with_parent_path(&parent, &work))))
+            .collect();
+        as_pool_worker(&work);
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+}
+
 /// Splits `data` into contiguous `chunk_len`-sized pieces (the last may be
 /// shorter) and calls `f(chunk_index, chunk)` once per piece, distributing
-/// pieces over the worker pool.
+/// pieces over the calling thread and the pool's helpers.
 ///
 /// Chunks are disjoint, so any execution order yields the same memory
 /// contents; pass a chunk-index-addressed `f` so each piece knows which
@@ -152,105 +208,67 @@ pub fn set_threads(n: usize) {
 ///
 /// # Panics
 ///
-/// Panics if `chunk_len == 0`.
+/// Panics if `chunk_len == 0`, or with `f`'s payload if `f` panics.
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    let threads = num_threads();
-    let n_chunks = data.len().div_ceil(chunk_len.max(1));
-    if threads <= 1 || n_chunks <= 1 || in_pool() {
+    let width = width(data.len().div_ceil(chunk_len));
+    if width <= 1 {
         for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(i, chunk);
         }
         return;
     }
-    // A locked iterator hands each chunk to exactly one worker. The lock
+    // A locked iterator hands each chunk to exactly one thread. The lock
     // is taken once per chunk; chunks are coarse (whole row blocks), so
     // contention is negligible against the work inside `f`.
     let queue = Mutex::new(data.chunks_mut(chunk_len).enumerate());
-    // Workers adopt the caller's open-span path so any spans inside `f`
-    // roll up under the span that issued this parallel call.
-    let parent = ull_obs::current_path();
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n_chunks) {
-            s.spawn(|| {
-                as_pool_worker(|| {
-                    ull_obs::with_parent_path(&parent, || loop {
-                        let next = queue.lock().expect("chunk queue poisoned").next();
-                        match next {
-                            Some((i, chunk)) => f(i, chunk),
-                            None => break,
-                        }
-                    })
-                })
-            });
+    fork(width, || loop {
+        let next = queue.lock().expect("chunk queue poisoned").next();
+        match next {
+            Some((i, chunk)) => f(i, chunk),
+            None => break,
         }
     });
 }
 
-/// Evaluates `f(i)` for `i in 0..n` across the worker pool and returns the
-/// results **in index order**, exactly as the serial `(0..n).map(f)` would.
+/// Evaluates `f(i)` for `i in 0..n` across the calling thread and the
+/// pool's helpers and returns the results **in index order**, exactly as
+/// the serial `(0..n).map(f)` would.
+///
+/// # Panics
+///
+/// Panics with `f`'s payload if `f` panics.
 pub fn par_map<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = num_threads();
-    if threads <= 1 || n <= 1 || in_pool() {
+    let width = width(n);
+    if width <= 1 {
         return (0..n).map(f).collect();
     }
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-    let parent = ull_obs::current_path();
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| {
-                as_pool_worker(|| {
-                    ull_obs::with_parent_path(&parent, || loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let value = f(i);
-                        *slots[i].lock().expect("result slot poisoned") = Some(value);
-                    })
-                })
-            });
+    fork(width, || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let value = f(i);
+        *slots[i].lock().expect("result slot poisoned") = Some(value);
     });
     slots
         .into_iter()
         .map(|m| {
             m.into_inner()
                 .expect("result slot poisoned")
-                .expect("worker filled every slot")
+                .expect("a thread filled every slot")
         })
         .collect()
-}
-
-/// Runs `a` and `b` concurrently (or serially, in that order, when the
-/// pool is size 1) and returns both results.
-pub fn par_join<RA, RB, FA, FB>(a: FA, b: FB) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    FA: FnOnce() -> RA + Send,
-    FB: FnOnce() -> RB + Send,
-{
-    if num_threads() <= 1 || in_pool() {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    let parent = ull_obs::current_path();
-    std::thread::scope(|s| {
-        let hb = s.spawn(|| as_pool_worker(|| ull_obs::with_parent_path(&parent, b)));
-        let ra = a();
-        (ra, hb.join().expect("par_join worker panicked"))
-    })
 }
 
 /// Serializes tests that mutate the global thread override so they do not
@@ -299,18 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn par_join_returns_both() {
-        let _guard = override_lock();
-        for threads in [1, 2] {
-            set_threads(threads);
-            let (a, b) = par_join(|| 2 + 2, || "ok".to_string());
-            assert_eq!(a, 4);
-            assert_eq!(b, "ok");
-        }
-        set_threads(0);
-    }
-
-    #[test]
     fn serial_fallback_spawns_no_threads() {
         let _guard = override_lock();
         set_threads(1);
@@ -322,6 +328,60 @@ mod tests {
         seen.extend(ids);
         assert!(seen.iter().all(|&id| id == caller));
         set_threads(0);
+    }
+
+    /// Runs a `threads`-wide fork in which exactly one chunk panics: the
+    /// one on the calling thread (`on_caller`) or one on a helper. Every
+    /// chunk waits at a barrier first, so each thread holds exactly one
+    /// chunk when the panic fires. Returns the payload the caller saw.
+    fn panic_payload(threads: usize, on_caller: bool, use_map: bool) -> String {
+        set_threads(threads);
+        let caller = std::thread::current().id();
+        let barrier = std::sync::Barrier::new(threads);
+        let helper_panicked = AtomicUsize::new(0);
+        let work = || {
+            barrier.wait();
+            let here = std::thread::current().id() == caller;
+            let fire = if on_caller {
+                here
+            } else {
+                !here && helper_panicked.fetch_add(1, Ordering::Relaxed) == 0
+            };
+            if fire {
+                panic!("chunk panicked (on_caller={on_caller})");
+            }
+        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if use_map {
+                par_map(threads, |_| work());
+            } else {
+                let mut v = vec![0u8; threads];
+                par_chunks_mut(&mut v, 1, |_, _| work());
+            }
+        }));
+        set_threads(0);
+        assert!(!in_pool(), "the caller must leave the pool mark behind");
+        let payload = result.expect_err("the panic must reach the caller");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("the original payload, not a generic join error")
+    }
+
+    #[test]
+    fn panics_in_caller_and_helper_chunks_reach_the_caller() {
+        let _guard = override_lock();
+        for threads in [2, 4] {
+            for on_caller in [true, false] {
+                for use_map in [false, true] {
+                    assert_eq!(
+                        panic_payload(threads, on_caller, use_map),
+                        format!("chunk panicked (on_caller={on_caller})"),
+                        "threads={threads} use_map={use_map}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

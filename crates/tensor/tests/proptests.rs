@@ -2,10 +2,13 @@
 
 use proptest::prelude::*;
 use ull_tensor::conv::{col2im, conv2d, im2col, ConvGeometry};
+use ull_tensor::init::{normal, seeded_rng};
+use ull_tensor::matmul::MIN_FORK_MACS;
 use ull_tensor::pool::{avgpool2d, maxpool2d};
 use ull_tensor::stats::{moments, percentile, percentile_table, Histogram};
 use ull_tensor::{
-    conv2d_events, matmul, matmul_transpose_a, matmul_transpose_b, parallel, SpikeBatch, Tensor,
+    conv2d_events, matmul, matmul_packed, matmul_tb_packed, matmul_transpose_a, matmul_transpose_b,
+    parallel, PackedWeights, SpikeBatch, Tensor,
 };
 
 /// Expands a draw of small integers into a uniform-amplitude spike
@@ -227,6 +230,53 @@ proptest! {
         let c2 = c1.clip(0.0, hi);
         prop_assert_eq!(&c1, &c2);
         prop_assert!(c1.data().iter().all(|&v| (0.0..=hi).contains(&v)));
+    }
+}
+
+proptest! {
+    // Each case runs five ~1M-MAC GEMMs at four thread counts.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The small-shape invariance case above never reaches
+    /// `MIN_FORK_MACS`, so its GEMMs all run serially; these shapes are at
+    /// or above it, so every run at threads > 1 forks.
+    #[test]
+    fn forked_gemms_are_thread_count_invariant(
+        seed in 0u64..u64::MAX,
+        m in 64usize..96,
+        k in 128usize..144,
+        n in 128usize..144,
+    ) {
+        prop_assert!(m * k * n >= MIN_FORK_MACS);
+        let mut rng = seeded_rng(seed);
+        // ReLU-like sparsity exercises the zero-skipping accumulators.
+        let a = normal(&[m, k], 0.0, 1.0, &mut rng).relu();
+        let b = normal(&[k, n], 0.0, 1.0, &mut rng);
+        let (at, bt) = (a.transpose(), b.transpose());
+        let (rhs, rhs_t) = (PackedWeights::pack_rhs(&b), PackedWeights::pack_rhs_t(&bt));
+        let run = || {
+            [
+                matmul(&a, &b),
+                matmul_transpose_a(&at, &b),
+                matmul_transpose_b(&a, &bt),
+                matmul_packed(&a, &rhs),
+                matmul_tb_packed(&a, &rhs_t),
+            ]
+        };
+        let _guard = parallel::override_lock();
+        parallel::set_threads(1);
+        let base = run();
+        for threads in [2, 3, 4] {
+            parallel::set_threads(threads);
+            let out = run();
+            for (kernel, (got, want)) in out.iter().zip(&base).enumerate() {
+                prop_assert!(
+                    got.data().iter().zip(want.data()).all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "kernel {} diverged at threads {}", kernel, threads
+                );
+            }
+        }
+        parallel::set_threads(0);
     }
 }
 
